@@ -1,9 +1,8 @@
 // Admission-pipeline scaling: wall-clock throughput of the delivery hot
 // path (admit -> session-table probes -> cancel) under real submitter
-// threads, swept over thread count and session-table shard count. The
-// sharded table (core/session_manager.h) routes sessions to the shard
-// of their delivery site, so threads pinned to different sites stop
-// serializing on one table mutex; this harness quantifies that win and
+// threads, swept over thread count. Each cell runs several times and
+// reports the median, min and max admitted/sec, so a difference between
+// two builds can be read against the run-to-run spread. The harness also
 // double-checks that the parallel-costing plan stream ranks plans
 // bit-identically to the serial enumerator (exits non-zero otherwise —
 // the CI smoke leg runs `bench_admission_scale --smoke`).
@@ -12,6 +11,7 @@
 // the simulator clock never advances, sessions are admitted and
 // cancelled in place, and the numbers are ops on the real machine.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -29,16 +29,17 @@ namespace {
 using namespace quasaq;  // NOLINT: experiment harness
 
 constexpr int kSites = 4;
+// Runs per sweep cell; odd, so the median is one measured run.
+constexpr int kRepetitions = 5;
 
-core::MediaDbSystem::Options BaseOptions(int session_shards) {
+core::MediaDbSystem::Options BaseOptions() {
   core::MediaDbSystem::Options options;
   options.kind = core::SystemKind::kVdbmsQuasaq;
   options.topology = net::Topology::Uniform(kSites);
   options.seed = 11;
-  options.session_shards = session_shards;
   // Tiny plan space: the harness measures the admission pipeline, not
   // plan enumeration, so each admit should be dominated by the locks
-  // and table work the sharding targets.
+  // and the session-table work.
   options.quality.generator.enable_transcoding = false;
   options.quality.generator.enable_frame_dropping = false;
   options.quality.generator.enable_relay = false;
@@ -52,13 +53,13 @@ struct SweepResult {
 };
 
 // `threads` submitters, each pinned to one site (threads round-robin
-// over the 4 sites, so with 8 threads two share a site — and a shard).
-// Each cycle admits a delivery, probes the session table a few times
-// (the Find-equivalent concurrent readers use), and cancels.
-SweepResult RunSweep(int threads, int session_shards, int ops_per_thread,
+// over the 4 sites, so with 8 threads two share a site). Each cycle
+// admits a delivery, probes the session table a few times (the
+// Find-equivalent concurrent readers use), and cancels.
+SweepResult RunSweep(int threads, int ops_per_thread,
                      core::MediaDbSystem::ObservabilitySnapshot* obs) {
   sim::Simulator simulator;
-  core::MediaDbSystem system(&simulator, BaseOptions(session_shards));
+  core::MediaDbSystem system(&simulator, BaseOptions());
   const std::vector<SiteId> sites = system.topology().SiteIds();
   query::QosRequirement qos;  // permissive: every stored replica serves
 
@@ -167,60 +168,62 @@ int main(int argc, char** argv) {
   const int ops_per_thread = smoke ? 200 : 2000;
   const int max_threads = thread_counts.back();
 
-  bench::PrintHeader("Admission pipeline scaling (threads x shards, " +
-                     std::to_string(kSites) + " sites)");
+  bench::PrintHeader("Admission pipeline scaling (threads, " +
+                     std::to_string(kSites) + " sites, " +
+                     std::to_string(kRepetitions) + " runs per cell)");
   const unsigned cores = std::thread::hardware_concurrency();
   bench::JsonWriter json("admission_scale");
   json.Add("sites", static_cast<double>(kSites));
   json.Add("ops_per_thread", static_cast<double>(ops_per_thread));
+  json.Add("repetitions", static_cast<double>(kRepetitions));
   json.Add("smoke", smoke ? 1.0 : 0.0);
   json.Add("hardware_concurrency", static_cast<double>(cores));
   if (cores < static_cast<unsigned>(max_threads)) {
     // Submitters time-slice the available cores, so wall-clock
-    // admitted/sec cannot exceed the single-core rate regardless of how
-    // the locks shard; the sweep still exercises every contention path
-    // and the ranking check below, but read the speedup accordingly.
+    // admitted/sec cannot exceed the single-core rate regardless of the
+    // locking; the sweep still exercises every contention path and the
+    // ranking check below, but read the scaling accordingly.
     std::printf("note: %u hardware core(s) < %d threads — wall-clock "
                 "scaling is core-bound on this machine\n",
                 cores, max_threads);
   }
 
-  std::printf("%8s %8s %14s %10s %10s\n", "threads", "shards",
-              "admitted/sec", "admitted", "rejected");
-  // admitted/sec indexed [shards==1 ? 0 : 1][thread sweep position].
-  std::vector<std::vector<double>> rates(2);
-  core::MediaDbSystem::ObservabilitySnapshot sharded_obs;
-  for (int shards : {1, kSites}) {
-    for (int threads : thread_counts) {
-      const bool capture = shards == kSites && threads == max_threads;
-      SweepResult result = RunSweep(threads, shards, ops_per_thread,
-                                    capture ? &sharded_obs : nullptr);
-      rates[shards == 1 ? 0 : 1].push_back(result.admitted_per_sec);
-      std::printf("%8d %8d %14.0f %10llu %10llu\n", threads, shards,
-                  result.admitted_per_sec,
-                  static_cast<unsigned long long>(result.admitted),
-                  static_cast<unsigned long long>(result.rejected));
-      std::string prefix = "t" + std::to_string(threads) + ".shard" +
-                           std::to_string(shards);
-      json.Add(prefix + ".admitted_per_sec", result.admitted_per_sec);
-      json.Add(prefix + ".admitted",
-               static_cast<double>(result.admitted));
-      json.Add(prefix + ".rejected",
-               static_cast<double>(result.rejected));
+  std::printf("%8s %14s %14s %14s %10s %10s\n", "threads",
+              "median adm/s", "min adm/s", "max adm/s", "admitted",
+              "rejected");
+  core::MediaDbSystem::ObservabilitySnapshot peak_obs;
+  std::vector<double> medians;
+  for (int threads : thread_counts) {
+    std::vector<double> rates;
+    uint64_t admitted = 0;
+    uint64_t rejected = 0;
+    for (int run = 0; run < kRepetitions; ++run) {
+      const bool capture = threads == max_threads && run == 0;
+      SweepResult result =
+          RunSweep(threads, ops_per_thread, capture ? &peak_obs : nullptr);
+      rates.push_back(result.admitted_per_sec);
+      admitted += result.admitted;
+      rejected += result.rejected;
     }
+    std::sort(rates.begin(), rates.end());
+    const double median = rates[rates.size() / 2];
+    medians.push_back(median);
+    std::printf("%8d %14.0f %14.0f %14.0f %10llu %10llu\n", threads, median,
+                rates.front(), rates.back(),
+                static_cast<unsigned long long>(admitted),
+                static_cast<unsigned long long>(rejected));
+    const std::string prefix = "t" + std::to_string(threads);
+    json.Add(prefix + ".admitted_per_sec_median", median);
+    json.Add(prefix + ".admitted_per_sec_min", rates.front());
+    json.Add(prefix + ".admitted_per_sec_max", rates.back());
+    json.Add(prefix + ".admitted", static_cast<double>(admitted));
+    json.Add(prefix + ".rejected", static_cast<double>(rejected));
   }
-  const double unsharded_peak = rates[0].back();
-  const double sharded_peak = rates[1].back();
-  const double speedup =
-      unsharded_peak > 0.0 ? sharded_peak / unsharded_peak : 0.0;
   const double scaling =
-      rates[1].front() > 0.0 ? sharded_peak / rates[1].front() : 0.0;
-  std::printf(
-      "\nsharded vs unsharded at %d threads: %.2fx   "
-      "(sharded %d-thread scaling over 1 thread: %.2fx)\n",
-      max_threads, speedup, max_threads, scaling);
-  json.Add("speedup_sharded_vs_unsharded_peak", speedup);
-  json.Add("sharded_thread_scaling", scaling);
+      medians.front() > 0.0 ? medians.back() / medians.front() : 0.0;
+  std::printf("\n%d-thread median over 1-thread median: %.2fx\n",
+              max_threads, scaling);
+  json.Add("thread_scaling", scaling);
 
   const bool ranking_ok = CheckRankingEquivalence();
   std::printf("parallel-costing ranking identical to serial: %s\n",
@@ -228,11 +231,8 @@ int main(int argc, char** argv) {
   json.Add("ranking_identical", ranking_ok ? 1.0 : 0.0);
 
   json.WriteFile();
-  // Sidecars from the sharded peak run: the merged (main + per-shard
-  // registries) exposition, so shard-local session counters reconcile
-  // with the admit totals above.
-  bench::WriteObservabilitySidecars("admission_scale",
-                                    sharded_obs.prometheus,
-                                    sharded_obs.metrics_json);
+  // Metrics sidecars from the first run at the peak thread count.
+  bench::WriteObservabilitySidecars("admission_scale", peak_obs.prometheus,
+                                    peak_obs.metrics_json);
   return ranking_ok ? 0 : 1;
 }

@@ -26,10 +26,6 @@ class RuntimeCostEvaluator {
   explicit RuntimeCostEvaluator(CostModel* model);
 
   void set_gain_function(GainFunction gain) { gain_ = std::move(gain); }
-  /// Whether a gain function is currently installed. Lets callers skip
-  /// a redundant set_gain_function(nullptr) — the write matters under
-  /// concurrent ranking, where an unconditional clear would race.
-  bool has_gain_function() const { return static_cast<bool>(gain_); }
 
   /// The ranking key of one plan: C(r)/G under `pool`'s current usage.
   /// Exposed so EXPLAIN paths and benchmarks cost plans exactly as the

@@ -28,8 +28,9 @@
 // search the space lazily: EnumerateGroups fixes the (A1, A2) prefix —
 // one GroupSeed per (replica, delivery site) pair — and ExpandGroup
 // materializes the activity combinations (A3–A5) of one group. The
-// eager Generate() is the composition of the two and remains available
-// for the ablation benches.
+// Quality Manager plans only through the stream; the eager Generate()
+// is the composition of the two stages and serves as the oracle that
+// tests and benches compare the stream's ranking against.
 
 namespace quasaq::core {
 
@@ -44,19 +45,13 @@ class PlanGenerator {
     // are skipped (the raw combinatorial space; ablation only — such
     // plans must not be executed).
     bool apply_static_pruning = true;
-    // When true the Quality Manager searches the plan space lazily
-    // through a best-first PlanStream (core/plan_stream.h) instead of
-    // materializing and ranking every plan. The ranking order is
-    // identical either way; set to false to benchmark the eager path.
-    bool lazy_enumeration = true;
-    // Parallel plan costing (lazy path only): PlanStream expands and
-    // costs (replica, site) groups concurrently on a small worker pool
-    // instead of one group at a time. Yield order stays bit-identical
-    // to the serial walk — extra early expansions only turn admissible
-    // lower bounds into exact keys — but only when the cost model
-    // supports a sound lower bound (pure LRB, no gain function);
-    // stateful models fall back to the serial walk so their per-plan
-    // call order is preserved.
+    // Parallel plan costing: PlanStream expands and costs (replica,
+    // site) groups concurrently on a small worker pool instead of one
+    // group at a time. Yield order stays bit-identical to the serial
+    // walk — extra early expansions only turn admissible lower bounds
+    // into exact keys — but only when the cost model supports a sound
+    // lower bound (pure LRB, no gain function); stateful models fall
+    // back to the serial walk so their per-plan call order is preserved.
     bool parallel_costing = false;
     // Worker threads for parallel costing; 0 picks a small default from
     // the hardware concurrency.

@@ -6,17 +6,16 @@
 namespace quasaq::core {
 
 PlanStream::PlanStream(const PlanGenerator* generator,
-                       const RuntimeCostEvaluator* evaluator,
+                       RuntimeCostEvaluator evaluator,
                        const res::ResourcePool* pool, SiteId query_site,
                        LogicalOid content, const query::QosRequirement& qos,
                        SimTime* metadata_latency, ThreadPool* costing_pool)
     : generator_(generator),
-      evaluator_(evaluator),
+      evaluator_(std::move(evaluator)),
       pool_(pool),
       costing_pool_(costing_pool),
       qos_(qos) {
   assert(generator_ != nullptr);
-  assert(evaluator_ != nullptr);
   assert(pool_ != nullptr);
   Result<std::vector<PlanGenerator::GroupSeed>> groups =
       generator_->EnumerateGroups(query_site, content, metadata_latency);
@@ -30,7 +29,7 @@ PlanStream::PlanStream(const PlanGenerator* generator,
 }
 
 void PlanStream::SeedFrontier() {
-  const bool bounded = evaluator_->SupportsCostLowerBound();
+  const bool bounded = evaluator_.SupportsCostLowerBound();
   // Fan out only when the bound is sound: without it every group enters
   // at cost 0 and is expanded serially anyway (preserving the per-plan
   // cost-model call order the Random model's RNG stream depends on).
@@ -42,7 +41,7 @@ void PlanStream::SeedFrontier() {
     // eager evaluator exactly (including the per-plan cost-model call
     // order the Random model's RNG stream depends on).
     entry.cost = bounded
-                     ? evaluator_->model().Cost(
+                     ? evaluator_.model().Cost(
                            generator_->RetrievalTransferDemand(groups_[i]),
                            *pool_)
                      : 0.0;
@@ -52,9 +51,11 @@ void PlanStream::SeedFrontier() {
   }
 }
 
-void PlanStream::Reset(const query::QosRequirement& qos) {
+void PlanStream::Reset(const query::QosRequirement& qos,
+                       RuntimeCostEvaluator evaluator) {
   if (!status_.ok()) return;
   qos_ = qos;
+  evaluator_ = std::move(evaluator);
   plans_.clear();
   frontier_ = {};
   // Each round enters every group again; groups_expanded keeps
@@ -72,7 +73,7 @@ void PlanStream::ExpandGroup(size_t group_index) {
   size_t within = 0;
   for (Plan& plan : expanded) {
     Ranked ranked;
-    ranked.cost = evaluator_->EfficiencyCost(plan, *pool_);
+    ranked.cost = evaluator_.EfficiencyCost(plan, *pool_);
     ranked.demand = RuntimeCostEvaluator::NormalizedDemand(plan, *pool_);
     ranked.plan = std::move(plan);
     plans_.push_back(std::move(ranked));
@@ -101,7 +102,7 @@ void PlanStream::ExpandGroupBatch(const std::vector<size_t>& batch) {
       out.reserve(expanded.size());
       for (Plan& plan : expanded) {
         Ranked ranked;
-        ranked.cost = evaluator_->EfficiencyCost(plan, *pool_);
+        ranked.cost = evaluator_.EfficiencyCost(plan, *pool_);
         ranked.demand = RuntimeCostEvaluator::NormalizedDemand(plan, *pool_);
         ranked.plan = std::move(plan);
         out.push_back(std::move(ranked));

@@ -17,10 +17,11 @@
 
 // Lazy best-first enumeration of the plan search space (paper §3.4).
 //
-// The eager pipeline materializes every plan, ranks the full vector and
-// walks it — O(d^n) work even when the very first plan is admitted,
-// which is the common case the throughput experiments depend on. The
-// PlanStream instead yields plans one at a time in exactly the ranking
+// The eager oracle (PlanGenerator::Generate + RuntimeCostEvaluator::Rank)
+// materializes every plan, ranks the full vector and walks it — O(d^n)
+// work even when the very first plan is admitted, which is the common
+// case the throughput experiments depend on. The PlanStream instead
+// yields plans one at a time in exactly the ranking
 // order of RuntimeCostEvaluator::Rank (same cost key, same tie-breaks),
 // expanding the search space only as far as the consumer pulls.
 //
@@ -62,9 +63,10 @@ class PlanStream {
   };
 
   /// All pointers must outlive the stream. The stream captures the
-  /// search space of `content` under `qos` as seen from `query_site`;
-  /// costs are evaluated against `pool`'s usage at expansion time, so a
-  /// stream must be consumed before reservations move the pool.
+  /// search space of `content` under `qos` as seen from `query_site`
+  /// and ranks it with its own copy of `evaluator`; costs are evaluated
+  /// against `pool`'s usage at expansion time, so a stream must be
+  /// consumed before reservations move the pool.
   ///
   /// When `costing_pool` is non-null and the evaluator supports a sound
   /// cost lower bound, group expansion + costing fans out over the pool
@@ -76,8 +78,7 @@ class PlanStream {
   /// group only replaces its bound with exact keys that are >= it.
   /// Pruning statistics may count fewer pruned groups (the batch
   /// expands groups the serial walk might never have touched).
-  PlanStream(const PlanGenerator* generator,
-             const RuntimeCostEvaluator* evaluator,
+  PlanStream(const PlanGenerator* generator, RuntimeCostEvaluator evaluator,
              const res::ResourcePool* pool, SiteId query_site,
              LogicalOid content, const query::QosRequirement& qos,
              SimTime* metadata_latency = nullptr,
@@ -88,15 +89,18 @@ class PlanStream {
   const Status& status() const { return status_; }
 
   /// Re-arms the stream over the already-enumerated (replica, site)
-  /// groups for a new QoS window: pending plans and frontier state are
-  /// discarded, group bounds are recomputed against the pool's current
-  /// usage, and enumeration restarts from scratch — without re-fetching
-  /// metadata. This is how a renegotiation's relaxation rounds reuse
-  /// one stream instead of re-seeding enumeration per round. The
-  /// cumulative stats keep counting across rounds (groups grows by the
-  /// group count per round, so groups_pruned() stays consistent).
+  /// groups for a new QoS window, ranked by `evaluator` (the window's
+  /// gain may differ from the last one's): pending plans and frontier
+  /// state are discarded, group bounds are recomputed against the pool's
+  /// current usage, and enumeration restarts from scratch — without
+  /// re-fetching metadata. This is how a renegotiation's relaxation
+  /// rounds reuse one stream instead of re-seeding enumeration per
+  /// round. The cumulative stats keep counting across rounds (groups
+  /// grows by the group count per round, so groups_pruned() stays
+  /// consistent).
   /// No-op on a failed stream.
-  void Reset(const query::QosRequirement& qos);
+  void Reset(const query::QosRequirement& qos,
+             RuntimeCostEvaluator evaluator);
 
   /// The next plan in ranking order, or nullopt when the space is
   /// exhausted.
@@ -141,8 +145,7 @@ class PlanStream {
 
   // Pushes every group's lower-bound entry onto the frontier and
   // refreshes the parallel-costing decision for the current evaluator
-  // state (a gain function installed since the last round disables the
-  // bound, and with it the fan-out).
+  // (a gain function disables the bound, and with it the fan-out).
   void SeedFrontier();
   void ExpandGroup(size_t group_index);
   // Expands and costs `batch` concurrently on costing_pool_, then
@@ -150,7 +153,7 @@ class PlanStream {
   void ExpandGroupBatch(const std::vector<size_t>& batch);
 
   const PlanGenerator* generator_;
-  const RuntimeCostEvaluator* evaluator_;
+  RuntimeCostEvaluator evaluator_;
   const res::ResourcePool* pool_;
   ThreadPool* costing_pool_;
   query::QosRequirement qos_;

@@ -15,9 +15,10 @@ QualityManager::QualityManager(meta::DistributedMetadataEngine* metadata,
                                const Options& options)
     : qos_api_(qos_api),
       generator_(metadata, std::move(sites), options.generator),
-      evaluator_(cost_model),
+      cost_model_(cost_model),
       options_(options) {
   assert(qos_api_ != nullptr);
+  assert(cost_model_ != nullptr);
   if (options_.generator.parallel_costing) {
     int threads = options_.generator.costing_threads;
     if (threads <= 0) {
@@ -89,19 +90,22 @@ void QualityManager::set_observability(obs::Observability* observability) {
   tracer_ = &observability->tracer();
 }
 
-void QualityManager::TraceBegin(const char* name, obs::Tracer::Args args) {
-  if (tracer_ == nullptr || trace_track_ == 0) return;
-  tracer_->Begin(trace_track_, name, trace_now_, std::move(args));
+void QualityManager::TraceBegin(const AdmissionContext& context,
+                                const char* name, obs::Tracer::Args args) {
+  if (tracer_ == nullptr || context.trace_track == 0) return;
+  tracer_->Begin(context.trace_track, name, context.now, std::move(args));
 }
 
-void QualityManager::TraceEnd(obs::Tracer::Args args) {
-  if (tracer_ == nullptr || trace_track_ == 0) return;
-  tracer_->End(trace_track_, trace_now_, std::move(args));
+void QualityManager::TraceEnd(const AdmissionContext& context,
+                              obs::Tracer::Args args) {
+  if (tracer_ == nullptr || context.trace_track == 0) return;
+  tracer_->End(context.trace_track, context.now, std::move(args));
 }
 
-void QualityManager::TraceInstant(const char* name) {
-  if (tracer_ == nullptr || trace_track_ == 0) return;
-  tracer_->Instant(trace_track_, name, trace_now_);
+void QualityManager::TraceInstant(const AdmissionContext& context,
+                                  const char* name) {
+  if (tracer_ == nullptr || context.trace_track == 0) return;
+  tracer_->Instant(context.trace_track, name, context.now);
 }
 
 void QualityManager::PopulateDefaultTranscodeTargets(
@@ -127,69 +131,24 @@ void QualityManager::PopulateDefaultTranscodeTargets(
   }
 }
 
-void QualityManager::ConfigureGain(const query::QosRequirement& qos) {
-  if (options_.goal == OptimizationGoal::kUserSatisfaction) {
-    evaluator_.set_gain_function(
-        MakeSatisfactionGain(qos.range, options_.utility_weights));
-  } else if (evaluator_.has_gain_function()) {
-    // Throughput goal: the gain stays null. Skipping the redundant
-    // clear keeps concurrent throughput-goal admissions write-free on
-    // the evaluator.
-    evaluator_.set_gain_function(nullptr);
-  }
-}
-
-Result<QualityManager::Admitted> QualityManager::TryAdmitEager(
-    SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    bool* had_plans) {
-  TraceBegin("plan.enumerate");
-  Result<std::vector<Plan>> plans =
-      generator_.Generate(query_site, content, qos);
-  if (!plans.ok()) {
-    TraceEnd();
-    return plans.status();
-  }
-  stats_.plans_generated += plans->size();
-  if (metrics_.generated != nullptr) {
-    metrics_.generated->Increment(static_cast<double>(plans->size()));
-  }
-  TraceEnd({{"plans", std::to_string(plans->size())}});
-  *had_plans = !plans->empty();
-  if (plans->empty()) {
-    return Status::NotFound("no plan satisfies the QoS bounds");
-  }
-  evaluator_.Rank(*plans, qos_api_->pool());
-  TraceBegin("plan.reserve");
-  int attempts = 0;
-  for (Plan& plan : *plans) {
-    if (options_.max_admission_attempts > 0 &&
-        attempts >= options_.max_admission_attempts) {
-      break;
-    }
-    ++attempts;
-    if (!qos_api_->Admissible(plan.resources)) continue;
-    Result<res::ReservationId> reservation =
-        qos_api_->Reserve(plan.resources);
-    if (!reservation.ok()) continue;  // raced/edge: try the next plan
-    Admitted admitted;
-    admitted.plan = std::move(plan);
-    admitted.reservation = *reservation;
-    TraceEnd({{"attempts", std::to_string(attempts)},
-              {"site", std::to_string(admitted.plan.delivery_site.value())}});
-    return admitted;
-  }
-  TraceEnd({{"attempts", std::to_string(attempts)},
-            {"outcome", "rejected"}});
-  return Status::ResourceExhausted("no admittable plan");
+RuntimeCostEvaluator QualityManager::EvaluatorFor(
+    const query::QosRequirement& qos, AdmissionContext& context) const {
+  context.gain =
+      options_.goal == OptimizationGoal::kUserSatisfaction
+          ? MakeSatisfactionGain(qos.range, options_.utility_weights)
+          : nullptr;
+  RuntimeCostEvaluator evaluator(cost_model_);
+  evaluator.set_gain_function(context.gain);
+  return evaluator;
 }
 
 Result<QualityManager::Admitted> QualityManager::TryAdmitWithStream(
-    PlanStream& stream, bool* had_plans) {
+    PlanStream& stream, bool* had_plans, const AdmissionContext& context) {
   const size_t generated_before = stream.stats().plans_generated;
-  // On the streamed path enumeration and admission interleave, so one
-  // plan.enumerate span covers the whole walk; reservation of the
-  // winning plan still gets its own nested plan.reserve span.
-  TraceBegin("plan.enumerate");
+  // Enumeration and admission interleave, so one plan.enumerate span
+  // covers the whole walk; reservation of the winning plan still gets
+  // its own nested plan.reserve span.
+  TraceBegin(context, "plan.enumerate");
   Result<Admitted> result =
       Status::ResourceExhausted("no admittable plan");
   double admitted_cost = 0.0;
@@ -202,18 +161,18 @@ Result<QualityManager::Admitted> QualityManager::TryAdmitWithStream(
     }
     ++attempts;
     if (!qos_api_->Admissible(ranked->plan.resources)) continue;
-    TraceBegin("plan.reserve");
+    TraceBegin(context, "plan.reserve");
     Result<res::ReservationId> reservation =
         qos_api_->Reserve(ranked->plan.resources);
     if (!reservation.ok()) {  // raced/edge: try the next plan
-      TraceEnd({{"outcome", "rejected"}});
+      TraceEnd(context, {{"outcome", "rejected"}});
       continue;
     }
     Admitted admitted;
     admitted.plan = std::move(ranked->plan);
     admitted.reservation = *reservation;
     admitted_cost = ranked->cost;
-    TraceEnd({{"attempts", std::to_string(attempts)},
+    TraceEnd(context, {{"attempts", std::to_string(attempts)},
               {"site", std::to_string(admitted.plan.delivery_site.value())}});
     result = std::move(admitted);
     break;
@@ -230,7 +189,7 @@ Result<QualityManager::Admitted> QualityManager::TryAdmitWithStream(
       metrics_.cutoff_margin->Observe(*bound / admitted_cost);
     }
   }
-  TraceEnd({{"plans", std::to_string(generated)},
+  TraceEnd(context, {{"plans", std::to_string(generated)},
             {"pruned", std::to_string(stream.groups_pruned())}});
   return result;
 }
@@ -246,10 +205,10 @@ void QualityManager::AccountStreamPruning(const PlanStream& stream) {
 
 Result<QualityManager::Admitted> QualityManager::AdmitQuery(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    const UserProfile* profile) {
+    const UserProfile* profile, AdmissionContext context) {
   ++stats_.queries;
   if (metrics_.queries != nullptr) metrics_.queries->Increment();
-  TraceBegin("delivery.admit");
+  TraceBegin(context, "delivery.admit");
   const uint64_t generated_before =
       stats_.plans_generated.load(std::memory_order_relaxed);
   auto observe_per_query = [&] {
@@ -259,28 +218,22 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
           generated_before));
     }
   };
-  ConfigureGain(qos);
-  const bool lazy = generator_.options().lazy_enumeration;
-  // The streamed path opens one PlanStream for the whole admission —
-  // relaxation rounds Reset() it over the already-enumerated groups
-  // instead of re-fetching metadata and re-seeding per round.
-  std::optional<PlanStream> stream;
+  // One PlanStream serves the whole admission — relaxation rounds
+  // Reset() it over the already-enumerated groups instead of
+  // re-fetching metadata and re-seeding per round.
+  PlanStream stream(&generator_, EvaluatorFor(qos, context),
+                    &qos_api_->pool(), query_site, content, qos, nullptr,
+                    costing_pool());
   bool had_plans = false;
-  Result<Admitted> attempt = Status::ResourceExhausted("unreached");
-  if (lazy) {
-    stream.emplace(&generator_, &evaluator_, &qos_api_->pool(), query_site,
-                   content, qos, nullptr, costing_pool());
-    attempt = stream->status().ok() ? TryAdmitWithStream(*stream, &had_plans)
-                                    : Result<Admitted>(stream->status());
-  } else {
-    attempt = TryAdmitEager(query_site, content, qos, &had_plans);
-  }
+  Result<Admitted> attempt =
+      stream.status().ok() ? TryAdmitWithStream(stream, &had_plans, context)
+                           : Result<Admitted>(stream.status());
   if (attempt.ok()) {
     ++stats_.admitted;
     if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
-    if (stream.has_value()) AccountStreamPruning(*stream);
+    AccountStreamPruning(stream);
     observe_per_query();
-    TraceEnd({{"outcome", "admitted"}});
+    TraceEnd(context, {{"outcome", "admitted"}});
     return attempt;
   }
 
@@ -292,39 +245,34 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
     for (int round = 0; round < options_.max_renegotiation_rounds; ++round) {
       if (!profile->RelaxForRenegotiation(relaxed.range)) break;
       if (metrics_.relaxations != nullptr) metrics_.relaxations->Increment();
-      TraceInstant("plan.relax");
-      ConfigureGain(relaxed);
+      TraceInstant(context, "plan.relax");
+      stream.Reset(relaxed, EvaluatorFor(relaxed, context));
       had_plans = false;
-      Result<Admitted> retry = Status::ResourceExhausted("unreached");
-      if (stream.has_value() && stream->status().ok()) {
-        stream->Reset(relaxed);
-        retry = TryAdmitWithStream(*stream, &had_plans);
-      } else {
-        retry = TryAdmitEager(query_site, content, relaxed, &had_plans);
-      }
+      Result<Admitted> retry =
+          TryAdmitWithStream(stream, &had_plans, context);
       any_plans_seen = any_plans_seen || had_plans;
       if (retry.ok()) {
         ++stats_.admitted;
         ++stats_.renegotiated;
         if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
-        if (stream.has_value()) AccountStreamPruning(*stream);
+        AccountStreamPruning(stream);
         observe_per_query();
         retry->renegotiated = true;
-        TraceEnd({{"outcome", "admitted_relaxed"},
-                  {"rounds", std::to_string(round + 1)}});
+        TraceEnd(context, {{"outcome", "admitted_relaxed"},
+                           {"rounds", std::to_string(round + 1)}});
         return retry;
       }
     }
   }
 
-  if (stream.has_value()) AccountStreamPruning(*stream);
+  AccountStreamPruning(stream);
   observe_per_query();
   if (any_plans_seen) {
     ++stats_.rejected_no_resources;
     if (metrics_.rejected_no_resources != nullptr) {
       metrics_.rejected_no_resources->Increment();
     }
-    TraceEnd({{"outcome", "rejected_no_resources"}});
+    TraceEnd(context, {{"outcome", "rejected_no_resources"}});
     return Status::ResourceExhausted("no admittable plan after " +
                                      std::string(profile != nullptr
                                                      ? "renegotiation"
@@ -334,7 +282,7 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
   if (metrics_.rejected_no_plan != nullptr) {
     metrics_.rejected_no_plan->Increment();
   }
-  TraceEnd({{"outcome", "rejected_no_plan"}});
+  TraceEnd(context, {{"outcome", "rejected_no_plan"}});
   return Status::NotFound("no plan satisfies the QoS bounds");
 }
 
@@ -344,43 +292,23 @@ Status QualityManager::CompleteDelivery(const Admitted& admitted) {
 
 Result<std::vector<QualityManager::RankedPlan>> QualityManager::ExplainPlans(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    size_t limit) {
-  ConfigureGain(qos);
-  if (generator_.options().lazy_enumeration) {
-    PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(),
-                      query_site, content, qos, nullptr, costing_pool());
-    if (!stream.status().ok()) return stream.status();
-    std::vector<RankedPlan> ranked;
-    while (ranked.size() < limit) {
-      std::optional<PlanStream::Ranked> next = stream.Next();
-      if (!next.has_value()) break;
-      RankedPlan entry;
-      entry.cost =
-          evaluator_.model().Cost(next->plan.resources, qos_api_->pool());
-      entry.admissible = qos_api_->Admissible(next->plan.resources);
-      entry.plan = std::move(next->plan);
-      ranked.push_back(std::move(entry));
-    }
-    stats_.plans_generated += stream.stats().plans_generated;
-    stats_.groups_pruned += stream.groups_pruned();
-    return ranked;
-  }
-
-  Result<std::vector<Plan>> plans =
-      generator_.Generate(query_site, content, qos);
-  if (!plans.ok()) return plans.status();
-  stats_.plans_generated += plans->size();
-  evaluator_.Rank(*plans, qos_api_->pool());
+    size_t limit, AdmissionContext context) {
+  PlanStream stream(&generator_, EvaluatorFor(qos, context),
+                    &qos_api_->pool(), query_site, content, qos, nullptr,
+                    costing_pool());
+  if (!stream.status().ok()) return stream.status();
   std::vector<RankedPlan> ranked;
-  ranked.reserve(std::min(limit, plans->size()));
-  for (Plan& plan : *plans) {
-    if (ranked.size() >= limit) break;
+  while (ranked.size() < limit) {
+    std::optional<PlanStream::Ranked> next = stream.Next();
+    if (!next.has_value()) break;
     RankedPlan entry;
-    entry.cost = evaluator_.model().Cost(plan.resources, qos_api_->pool());
-    entry.admissible = qos_api_->Admissible(plan.resources);
-    entry.plan = std::move(plan);
+    entry.cost = cost_model_->Cost(next->plan.resources, qos_api_->pool());
+    entry.admissible = qos_api_->Admissible(next->plan.resources);
+    entry.plan = std::move(next->plan);
     ranked.push_back(std::move(entry));
   }
+  stats_.plans_generated += stream.stats().plans_generated;
+  stats_.groups_pruned += stream.groups_pruned();
   return ranked;
 }
 
@@ -405,7 +333,7 @@ std::string QualityManager::FormatPlanListing(
 
 Result<QualityManager::Admitted> QualityManager::RenegotiateImpl(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    const UserProfile* profile,
+    const UserProfile* profile, AdmissionContext context,
     const std::function<Status(const ResourceVector&)>& adopt,
     res::ReservationId reservation) {
   // One renegotiation — however many relaxation rounds it retries below
@@ -414,28 +342,27 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateImpl(
   if (metrics_.renegotiations != nullptr) {
     metrics_.renegotiations->Increment();
   }
-  ConfigureGain(qos);
 
   // One admission walk at fixed bounds; used per relaxation round.
   auto walk = [&](PlanStream& stream, bool* had_plans) -> Result<Admitted> {
     const size_t generated_before = stream.stats().plans_generated;
-    TraceBegin("plan.enumerate");
+    TraceBegin(context, "plan.enumerate");
     Result<Admitted> result = Status::ResourceExhausted(
         "no admittable plan for the renegotiated QoS");
     while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
       *had_plans = true;
-      TraceBegin("plan.reserve");
+      TraceBegin(context, "plan.reserve");
       Status status = adopt(ranked->plan.resources);
       if (!status.ok()) {
-        TraceEnd({{"outcome", "rejected"}});
+        TraceEnd(context, {{"outcome", "rejected"}});
         continue;
       }
       Admitted admitted;
       admitted.plan = std::move(ranked->plan);
       admitted.reservation = reservation;
       admitted.renegotiated = true;
-      TraceEnd({{"site",
-                 std::to_string(admitted.plan.delivery_site.value())}});
+      TraceEnd(context, {{"site", std::to_string(
+                                      admitted.plan.delivery_site.value())}});
       result = std::move(admitted);
       break;
     }
@@ -445,87 +372,34 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateImpl(
     if (metrics_.generated != nullptr) {
       metrics_.generated->Increment(static_cast<double>(generated));
     }
-    TraceEnd({{"plans", std::to_string(generated)}});
+    TraceEnd(context, {{"plans", std::to_string(generated)}});
     return result;
   };
 
-  if (generator_.options().lazy_enumeration) {
-    PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(),
-                      query_site, content, qos, nullptr, costing_pool());
-    if (!stream.status().ok()) return stream.status();
-    bool had_plans = false;
-    Result<Admitted> result = walk(stream, &had_plans);
-    bool any_plans_seen = had_plans;
-    if (!result.ok() && options_.enable_renegotiation &&
-        profile != nullptr) {
-      // Relaxation rounds reuse the session's still-open stream: the
-      // (replica, site) groups stay enumerated, only the QoS window
-      // and the frontier re-arm.
-      query::QosRequirement relaxed = qos;
-      for (int round = 0; round < options_.max_renegotiation_rounds;
-           ++round) {
-        if (!profile->RelaxForRenegotiation(relaxed.range)) break;
-        if (metrics_.relaxations != nullptr) {
-          metrics_.relaxations->Increment();
-        }
-        TraceInstant("plan.relax");
-        ConfigureGain(relaxed);
-        stream.Reset(relaxed);
-        had_plans = false;
-        result = walk(stream, &had_plans);
-        any_plans_seen = any_plans_seen || had_plans;
-        if (result.ok()) break;
-      }
-    }
-    AccountStreamPruning(stream);
-    if (!result.ok() && !any_plans_seen) {
-      return Status::NotFound("no plan satisfies the new QoS bounds");
-    }
-    return result;
-  }
-
-  // Eager ablation path: regenerate per round.
-  query::QosRequirement bounds = qos;
-  bool any_plans_seen = false;
-  Result<Admitted> result = Status::ResourceExhausted(
-      "no admittable plan for the renegotiated QoS");
-  for (int round = 0; round <= options_.max_renegotiation_rounds; ++round) {
-    if (round > 0) {
-      if (!options_.enable_renegotiation || profile == nullptr ||
-          !profile->RelaxForRenegotiation(bounds.range)) {
-        break;
-      }
+  PlanStream stream(&generator_, EvaluatorFor(qos, context),
+                    &qos_api_->pool(), query_site, content, qos, nullptr,
+                    costing_pool());
+  if (!stream.status().ok()) return stream.status();
+  bool had_plans = false;
+  Result<Admitted> result = walk(stream, &had_plans);
+  bool any_plans_seen = had_plans;
+  if (!result.ok() && options_.enable_renegotiation && profile != nullptr) {
+    // Relaxation rounds reuse the session's still-open stream: the
+    // (replica, site) groups stay enumerated, only the QoS window and
+    // the frontier re-arm.
+    query::QosRequirement relaxed = qos;
+    for (int round = 0; round < options_.max_renegotiation_rounds; ++round) {
+      if (!profile->RelaxForRenegotiation(relaxed.range)) break;
       if (metrics_.relaxations != nullptr) metrics_.relaxations->Increment();
-      TraceInstant("plan.relax");
-      ConfigureGain(bounds);
+      TraceInstant(context, "plan.relax");
+      stream.Reset(relaxed, EvaluatorFor(relaxed, context));
+      had_plans = false;
+      result = walk(stream, &had_plans);
+      any_plans_seen = any_plans_seen || had_plans;
+      if (result.ok()) break;
     }
-    TraceBegin("plan.enumerate");
-    Result<std::vector<Plan>> plans =
-        generator_.Generate(query_site, content, bounds);
-    if (!plans.ok()) {
-      TraceEnd();
-      return plans.status();
-    }
-    stats_.plans_generated += plans->size();
-    if (metrics_.generated != nullptr) {
-      metrics_.generated->Increment(static_cast<double>(plans->size()));
-    }
-    TraceEnd({{"plans", std::to_string(plans->size())}});
-    any_plans_seen = any_plans_seen || !plans->empty();
-    if (plans->empty()) continue;
-    evaluator_.Rank(*plans, qos_api_->pool());
-    for (Plan& plan : *plans) {
-      Status status = adopt(plan.resources);
-      if (!status.ok()) continue;
-      Admitted admitted;
-      admitted.plan = std::move(plan);
-      admitted.reservation = reservation;
-      admitted.renegotiated = true;
-      result = std::move(admitted);
-      break;
-    }
-    if (result.ok()) break;
   }
+  AccountStreamPruning(stream);
   if (!result.ok() && !any_plans_seen) {
     return Status::NotFound("no plan satisfies the new QoS bounds");
   }
@@ -534,12 +408,13 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateImpl(
 
 Result<QualityManager::Admitted> QualityManager::RenegotiateDelivery(
     res::ReservationId id, SiteId query_site, LogicalOid content,
-    const query::QosRequirement& qos, const UserProfile* profile) {
+    const query::QosRequirement& qos, const UserProfile* profile,
+    AdmissionContext context) {
   if (qos_api_->Find(id) == nullptr) {
     return Status::NotFound("unknown reservation");
   }
   return RenegotiateImpl(
-      query_site, content, qos, profile,
+      query_site, content, qos, profile, std::move(context),
       [this, id](const ResourceVector& resources) {
         return qos_api_->Renegotiate(id, resources);
       },
@@ -548,9 +423,9 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateDelivery(
 
 Result<QualityManager::Admitted> QualityManager::PlanPausedRenegotiation(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    const UserProfile* profile) {
+    const UserProfile* profile, AdmissionContext context) {
   return RenegotiateImpl(
-      query_site, content, qos, profile,
+      query_site, content, qos, profile, std::move(context),
       [this](const ResourceVector& resources) {
         // Admission probe: the paused session must be able to carry the
         // plan *now*, but nothing may stay held — Resume re-admits the

@@ -29,26 +29,41 @@
 // the QoS bounds are relaxed along the user's least-valued axis and the
 // query gets a "second chance" (renegotiation).
 //
-// By default the ranking is walked through a lazy best-first PlanStream
+// The ranking is walked through a lazy best-first PlanStream
 // (core/plan_stream.h): plans are materialized only as far as admission
 // control actually looks, and branches whose LRB lower bound exceeds
 // the first admitted cost are never generated. Relaxation rounds reuse
 // the query's still-open stream (PlanStream::Reset) instead of
-// re-seeding enumeration — and so do mid-playback renegotiations. The
-// eager materialize-and-sort path is kept behind
-// PlanGenerator::Options::lazy_enumeration for the ablation benches;
-// both paths admit the identical plan.
+// re-seeding enumeration — and so do mid-playback renegotiations.
+// PlanGenerator::Generate + RuntimeCostEvaluator::Rank compute the same
+// ranking eagerly; they are kept as the oracle tests and benches compare
+// the stream against.
 //
 // Thread-safety: Admit/Renegotiate/Explain may run concurrently from
-// many threads when (a) the optimization goal is kThroughput (a gain
-// function is per-query evaluator state) and (b) configuration calls
-// (set_observability, set_trace_context with a non-zero track) happen
-// before threads fan out. Statistics are atomic; the planner state
-// (generator, evaluator, metadata read path) is either immutable or
-// internally synchronized. Traced (non-zero track) admissions remain
-// single-threaded — the trace context is shared state by design.
+// many threads under every optimization goal, traced or not. Per-query
+// state (the gain for the QoS window, the trace track, the sim time)
+// travels in the AdmissionContext each call receives by value, and each
+// call and relaxation round ranks with its own RuntimeCostEvaluator.
+// Statistics are atomic; the generator and the metadata read path are
+// immutable or internally synchronized. set_observability is
+// configuration: call it before threads fan out.
 
 namespace quasaq::core {
+
+// Per-call admission state, passed by value into every QualityManager
+// planning call so concurrent calls share nothing mutable. Callers set
+// the trace fields; the manager fills `gain` for each QoS window it
+// ranks under (relaxation rounds change the window, and with it the
+// gain).
+struct AdmissionContext {
+  // Tracer::NewTrack track the call's spans render on; 0 = untraced.
+  int64_t trace_track = 0;
+  // Sim time stamped on every span (the sim clock does not advance
+  // during admission).
+  SimTime now = 0;
+  // Gain G of E = G / C(r) for the current QoS window; empty = 1.
+  RuntimeCostEvaluator::GainFunction gain;
+};
 
 class QualityManager {
  public:
@@ -81,11 +96,10 @@ class QualityManager {
     uint64_t rejected_no_plan = 0;      // QoS unsatisfiable from storage
     uint64_t rejected_no_resources = 0; // all plans failed admission
     uint64_t renegotiated = 0;          // admitted at relaxed QoS
-    // Plans materialized and costed. On the eager path this is the full
-    // search space per query; on the streamed path only the expanded
-    // prefix, so the difference is the pruning win.
+    // Plans materialized and costed: the prefix of the ranking the
+    // admission walk expanded, not the whole search space.
     uint64_t plans_generated = 0;
-    uint64_t groups_pruned = 0;  // streamed path: branches never expanded
+    uint64_t groups_pruned = 0;  // branches the stream never expanded
   };
 
   // A successfully admitted query.
@@ -112,7 +126,8 @@ class QualityManager {
   /// kResourceExhausted when no satisfying plan passes admission.
   Result<Admitted> AdmitQuery(SiteId query_site, LogicalOid content,
                               const query::QosRequirement& qos,
-                              const UserProfile* profile = nullptr);
+                              const UserProfile* profile = nullptr,
+                              AdmissionContext context = {});
 
   /// Releases the resources of a finished (or aborted) delivery.
   Status CompleteDelivery(const Admitted& admitted);
@@ -128,7 +143,8 @@ class QualityManager {
   Result<Admitted> RenegotiateDelivery(res::ReservationId id,
                                        SiteId query_site, LogicalOid content,
                                        const query::QosRequirement& qos,
-                                       const UserProfile* profile = nullptr);
+                                       const UserProfile* profile = nullptr,
+                                       AdmissionContext context = {});
 
   /// Renegotiation flavor for *paused* sessions, which hold no
   /// reservation to swap: plans `qos`, admission-probes the best plan
@@ -137,11 +153,9 @@ class QualityManager {
   /// it with an invalid reservation id. Counts as a renegotiation, not
   /// as a fresh query: the plan.queries/admitted counters and the
   /// delivery.admit span stay untouched.
-  Result<Admitted> PlanPausedRenegotiation(SiteId query_site,
-                                           LogicalOid content,
-                                           const query::QosRequirement& qos,
-                                           const UserProfile* profile =
-                                               nullptr);
+  Result<Admitted> PlanPausedRenegotiation(
+      SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
+      const UserProfile* profile = nullptr, AdmissionContext context = {});
 
   // One entry of an EXPLAIN listing: a ranked plan, its cost under the
   // current system status, and whether admission control would take it.
@@ -152,12 +166,13 @@ class QualityManager {
   };
 
   /// Enumerates and ranks the plans for `content` under `qos` without
-  /// reserving anything — the EXPLAIN path. At most `limit` entries; on
-  /// the streamed path enumeration stops as soon as `limit` plans have
-  /// been yielded instead of ranking the whole space first.
+  /// reserving anything — the EXPLAIN path. At most `limit` entries;
+  /// enumeration stops as soon as `limit` plans have been yielded
+  /// instead of ranking the whole space first.
   Result<std::vector<RankedPlan>> ExplainPlans(
       SiteId query_site, LogicalOid content,
-      const query::QosRequirement& qos, size_t limit = 10);
+      const query::QosRequirement& qos, size_t limit = 10,
+      AdmissionContext context = {});
 
   /// Renders an EXPLAIN listing for `content`, one plan per line with
   /// its cost, wire rate, startup latency and admissibility.
@@ -177,18 +192,6 @@ class QualityManager {
   /// Attaches plan-search counters/histograms and span emission
   /// (nullptr detaches). The pointer must outlive the manager.
   void set_observability(obs::Observability* observability);
-
-  /// Trace context for the next Admit/Renegotiate call: the owning
-  /// delivery's track and the sim time to stamp spans with (the sim
-  /// clock does not advance during admission, so every span of one
-  /// admission shares a timestamp). track 0 disables span emission.
-  /// Not thread-safe: traced admissions belong to the single-threaded
-  /// driver; concurrent callers must leave the context untouched at its
-  /// default of 0 (docs/ARCHITECTURE.md).
-  void set_trace_context(int64_t track, SimTime now) {
-    trace_track_ = track;
-    trace_now_ = now;
-  }
 
  private:
   // Registry handles resolved once in set_observability; all nullptr
@@ -219,45 +222,42 @@ class QualityManager {
     std::atomic<uint64_t> groups_pruned{0};
   };
 
-  void TraceBegin(const char* name, obs::Tracer::Args args = {});
-  void TraceEnd(obs::Tracer::Args args = {});
-  void TraceInstant(const char* name);
-  // Installs the gain function matching the optimization goal for a
-  // query's QoS window. Write-free for the kThroughput goal (after the
-  // first call), so concurrent throughput-goal admissions do not race
-  // on the evaluator.
-  void ConfigureGain(const query::QosRequirement& qos);
+  void TraceBegin(const AdmissionContext& context, const char* name,
+                  obs::Tracer::Args args = {});
+  void TraceEnd(const AdmissionContext& context, obs::Tracer::Args args = {});
+  void TraceInstant(const AdmissionContext& context, const char* name);
+  // Sets `context.gain` to the gain the optimization goal assigns to
+  // `qos`'s window and returns an evaluator ranking with it.
+  RuntimeCostEvaluator EvaluatorFor(const query::QosRequirement& qos,
+                                    AdmissionContext& context) const;
   // One plan-and-admit attempt at fixed QoS bounds against an open
   // stream (create or Reset it first). Fills `had_plans`; accounts the
   // round's generated-plan delta. Does NOT account groups_pruned —
   // that is cumulative stream state, accounted once per stream by
   // AccountStreamPruning.
-  Result<Admitted> TryAdmitWithStream(PlanStream& stream, bool* had_plans);
-  Result<Admitted> TryAdmitEager(SiteId query_site, LogicalOid content,
-                                 const query::QosRequirement& qos,
-                                 bool* had_plans);
+  Result<Admitted> TryAdmitWithStream(PlanStream& stream, bool* had_plans,
+                                      const AdmissionContext& context);
   // Folds the finished stream's pruning win into stats/metrics.
   void AccountStreamPruning(const PlanStream& stream);
-  // Shared renegotiation walk: streamed (with relaxation rounds reusing
-  // the stream) or eager; `adopt` applies an admittable resource vector
-  // (swap-in-place for live sessions, reserve-probe for paused ones)
-  // and `reservation` is what the returned Admitted carries.
+  // Shared renegotiation walk, relaxation rounds reusing the stream;
+  // `adopt` applies an admittable resource vector (swap-in-place for
+  // live sessions, reserve-probe for paused ones) and `reservation` is
+  // what the returned Admitted carries.
   Result<Admitted> RenegotiateImpl(
       SiteId query_site, LogicalOid content,
       const query::QosRequirement& qos, const UserProfile* profile,
+      AdmissionContext context,
       const std::function<Status(const ResourceVector&)>& adopt,
       res::ReservationId reservation);
 
   res::CompositeQosApi* qos_api_;
   PlanGenerator generator_;
-  RuntimeCostEvaluator evaluator_;
+  CostModel* cost_model_;
   Options options_;
   AtomicStats stats_;
   Metrics metrics_;
   std::unique_ptr<ThreadPool> costing_pool_;  // non-null iff parallel
   obs::Tracer* tracer_ = nullptr;
-  int64_t trace_track_ = 0;
-  SimTime trace_now_ = 0;
 };
 
 }  // namespace quasaq::core

@@ -1,13 +1,10 @@
 #ifndef QUASAQ_CORE_SESSION_MANAGER_H_
 #define QUASAQ_CORE_SESSION_MANAGER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "common/ids.h"
 #include "common/resource_vector.h"
@@ -28,29 +25,18 @@
 // which alone decides *when* resources are released: exactly once, at
 // completion, cancellation, or pause.
 //
-// Sharded for the admission hot path: the table splits into
-// `shard_count` shards, sessions routed to the shard of their delivery
-// site (site-hashed), each shard under its own annotated Mutex —
-// concurrent Start/Pause/Resume/Cancel on different sites never touch
-// the same lock. Routing is lock-free: a session ID encodes its shard
-// (value = seq * shard_count + shard_index), so Find/Cancel/... go
-// straight to the owning shard without a directory lookup, and
-// renegotiating a session to a new delivery site never re-homes it.
-// Cross-shard aggregation (outstanding(), completed()) walks the shards
-// on demand. The default shard_count of 1 reproduces the pre-sharding
-// behavior exactly, session IDs included.
-//
-// Thread-safe: concurrent lifecycle calls serialize per shard and the
-// release-exactly-once invariant holds under any interleaving. The
-// simulator's event queue is mutated only under the dedicated sim_mu_
-// leaf lock, which makes ScheduleAt/Cancel safe against concurrent
-// session mutations on other shards — but *driving* the simulator
+// Thread-safe: one annotated Mutex (mu_) guards the whole table, so
+// concurrent lifecycle calls serialize and the release-exactly-once
+// invariant holds under any interleaving. Session IDs are dense: 1, 2,
+// 3, ... in Start order. The simulator's event queue is mutated only
+// under mu_ (completion scheduling and cancellation happen inside the
+// lifecycle calls that hold it) — but *driving* the simulator
 // (Step/RunAll) must not overlap with session calls from other threads;
 // the clock itself stays single-threaded. Lock order:
-// SessionShard::mu → CompositeQosApi::mu_ → ResourcePool::mu_, and
-// SessionShard::mu → sim_mu_ (docs/ARCHITECTURE.md "Threading model").
-// set_observability/set_on_complete are configuration: call them before
-// lifecycle calls run concurrently.
+// SessionManager::mu_ → CompositeQosApi::mu_ → ResourcePool::mu_
+// (docs/ARCHITECTURE.md "Threading model"). set_observability/
+// set_on_complete are configuration: call them before lifecycle calls
+// run concurrently.
 
 namespace quasaq::core {
 
@@ -61,6 +47,9 @@ class SessionManager {
     SimTime start = 0;
     res::ReservationId reservation = res::kInvalidReservationId;
     double vdbms_kbps = 0.0;  // bitrate pinned on `site` (VDBMS only)
+    // `vdbms_kbps` in integer pin units, fixed by Start: unpinning
+    // subtracts exactly what pinning added, in any order.
+    int64_t vdbms_pin = 0;
     SiteId site;
     // Pause/resume bookkeeping.
     sim::EventId completion_event = sim::kInvalidEventId;
@@ -75,15 +64,12 @@ class SessionManager {
 
   using CompleteCallback = std::function<void(SessionId, SimTime)>;
 
-  /// Both pointers must outlive the manager. `shard_count` fixes the
-  /// number of session-table shards for the manager's lifetime (>= 1).
-  SessionManager(sim::Simulator* simulator, res::CompositeQosApi* qos_api,
-                 int shard_count = 1);
+  /// Both pointers must outlive the manager.
+  SessionManager(sim::Simulator* simulator, res::CompositeQosApi* qos_api);
 
   /// Registers a delivery and schedules its completion. Captures the
   /// reservation's resource vector (when one is held) so resume can
   /// re-admit it, and pins `record.vdbms_kbps` on the record's site.
-  /// The returned ID encodes the owning shard (site-hashed).
   SessionId Start(Record record, double duration_seconds);
 
   /// Pauses a running session. Its reserved resources are released
@@ -103,8 +89,7 @@ class SessionManager {
   /// Re-points a session at a renegotiated delivery: the new delivery
   /// site and the resource vector resume must re-admit. The reservation
   /// handle itself is unchanged (renegotiation swaps it in place); for
-  /// paused sessions nothing is acquired until Resume. The session
-  /// stays in its original shard — routing is by ID, not site.
+  /// paused sessions nothing is acquired until Resume.
   Status AdoptRenegotiatedPlan(SessionId session, SiteId delivery_site,
                                const ResourceVector& resources);
 
@@ -120,21 +105,10 @@ class SessionManager {
   /// Active VDBMS-pinned bitrate currently streaming from `site`.
   double vdbms_active_kbps(SiteId site) const;
 
-  /// Sessions currently streaming or paused, summed over all shards.
+  /// Sessions currently streaming or paused.
   int outstanding() const;
-  /// Sessions that ran to completion, summed over all shards.
+  /// Sessions that ran to completion.
   uint64_t completed() const;
-
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-
-  /// Shard index sessions started on `site` land in.
-  int ShardOfSite(SiteId site) const {
-    return static_cast<int>(ShardIndexOfSite(site));
-  }
-  /// Shard index encoded in a session ID.
-  int ShardOfSession(SessionId session) const {
-    return static_cast<int>(ShardIndexOfSession(session));
-  }
 
   void set_on_complete(CompleteCallback callback) {
     MutexLock lock(&config_mu_);
@@ -143,12 +117,8 @@ class SessionManager {
 
   /// Attaches lifecycle counters, active/peak gauges, the duration
   /// histogram, and span emission to `observability` (nullptr
-  /// detaches). When `observability` carries at least shard_count()
-  /// shard registries and the table is sharded, each shard resolves its
-  /// counters and duration histogram from its own registry (the
-  /// active/peak gauges stay in the main registry); otherwise every
-  /// shard reports into the main registry. Call before the first Start;
-  /// the pointer must outlive the manager.
+  /// detaches). Call before the first Start; the pointer must outlive
+  /// the manager.
   void set_observability(obs::Observability* observability);
 
  private:
@@ -162,60 +132,40 @@ class SessionManager {
     obs::Counter* resumed = nullptr;
     obs::Counter* resume_failed = nullptr;
     obs::Histogram* duration_seconds = nullptr;
+    obs::Gauge* active = nullptr;
+    obs::Gauge* peak = nullptr;
   };
 
-  // One session-table shard. heap-allocated so Mutex addresses stay
-  // stable in the shards_ vector.
-  struct Shard {
-    mutable Mutex mu;
-    int64_t next_seq QUASAQ_GUARDED_BY(mu) = 1;
-    int outstanding QUASAQ_GUARDED_BY(mu) = 0;
-    uint64_t completed QUASAQ_GUARDED_BY(mu) = 0;
-    std::unordered_map<SessionId, Record> sessions QUASAQ_GUARDED_BY(mu);
-    std::unordered_map<SiteId, double> vdbms_site_kbps QUASAQ_GUARDED_BY(mu);
-    // Observability is emitted while mu is held; the obs mutexes are
-    // strict leaves in the lock order, below ResourcePool::mu_.
-    Metrics metrics QUASAQ_GUARDED_BY(mu);
-    obs::Tracer* tracer QUASAQ_GUARDED_BY(mu) = nullptr;
-  };
+  // Fixed-point unit of VDBMS pins: 1 / kPinUnitsPerKbps KB/s.
+  static constexpr double kPinUnitsPerKbps = 1e6;
 
-  size_t ShardIndexOfSite(SiteId site) const {
-    return static_cast<size_t>(
-               std::hash<int64_t>{}(site.value())) %
-           shards_.size();
-  }
-  size_t ShardIndexOfSession(SessionId session) const {
-    return static_cast<size_t>(session.value()) % shards_.size();
-  }
-
-  // Samples the active-session gauge (and bumps the peak) after the
-  // global active count changed by `delta`. `sample` mirrors the
-  // pre-sharding cadence: Start and Cancel sample, Complete only
-  // adjusts the count.
-  void NoteActiveDelta(SimTime now, int delta, bool sample);
+  // Samples the active-session gauge (and bumps the peak). Start and
+  // Cancel sample; Complete only adjusts the count.
+  void SampleActive(SimTime now) QUASAQ_REQUIRES(mu_);
   void Complete(SessionId id);
-  // Returns the session's pinned VDBMS bitrate to its site (no-op for
-  // reservation-backed sessions).
-  static void UnpinVdbms(Shard& shard, const Record& record)
-      QUASAQ_REQUIRES(shard.mu);
-  // Simulator event-queue access, serialized across shards (sim_mu_ is
-  // a leaf under every Shard::mu).
+  // Adds (`sign` = +1) or returns (-1) the session's pinned VDBMS
+  // bitrate on its site; no-op for reservation-backed sessions.
+  void PinVdbms(const Record& record, int sign) QUASAQ_REQUIRES(mu_);
   sim::EventId ScheduleCompletion(SimTime at, SessionId id)
-      QUASAQ_EXCLUDES(sim_mu_);
-  void CancelCompletion(sim::EventId event) QUASAQ_EXCLUDES(sim_mu_);
+      QUASAQ_REQUIRES(mu_);
 
-  sim::Simulator* simulator_;      // set at construction, never reassigned
-  res::CompositeQosApi* qos_api_;  // likewise
-  std::vector<std::unique_ptr<Shard>> shards_;  // immutable layout
-  // Serializes simulator event-queue mutations from concurrent shards.
-  mutable Mutex sim_mu_;
+  // Guards the table, every counter and the simulator: every call into
+  // the simulator (clock reads, scheduling, cancellation) runs under
+  // it. Observability is emitted while mu_ is held; the obs mutexes are
+  // strict leaves in the lock order, below ResourcePool::mu_.
+  mutable Mutex mu_;
+  // Both pointers are set at construction and never reassigned.
+  sim::Simulator* simulator_ QUASAQ_PT_GUARDED_BY(mu_);
+  res::CompositeQosApi* qos_api_;
+  int64_t next_id_ QUASAQ_GUARDED_BY(mu_) = 1;
+  int outstanding_ QUASAQ_GUARDED_BY(mu_) = 0;
+  uint64_t completed_ QUASAQ_GUARDED_BY(mu_) = 0;
+  std::unordered_map<SessionId, Record> sessions_ QUASAQ_GUARDED_BY(mu_);
+  std::unordered_map<SiteId, int64_t> vdbms_site_pins_ QUASAQ_GUARDED_BY(mu_);
+  Metrics metrics_ QUASAQ_GUARDED_BY(mu_);
+  obs::Tracer* tracer_ QUASAQ_GUARDED_BY(mu_) = nullptr;
   mutable Mutex config_mu_;
   CompleteCallback on_complete_ QUASAQ_GUARDED_BY(config_mu_);
-  // Global active count + gauges (main registry): written by every
-  // shard, so they stay out of the per-shard registries by design.
-  std::atomic<int> total_active_{0};
-  obs::Gauge* active_gauge_ = nullptr;  // set_observability, pre-threading
-  obs::Gauge* peak_gauge_ = nullptr;    // likewise
 };
 
 }  // namespace quasaq::core

@@ -28,16 +28,9 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
       library_(media::BuildExperimentLibrary(options.library,
                                              options.topology.SiteIds())),
       qos_api_(&pool_),
-      session_manager_(simulator, &qos_api_,
-                       std::max(1, options.session_shards)) {
+      session_manager_(simulator, &qos_api_) {
   assert(simulator_ != nullptr);
   std::vector<SiteId> sites = options_.topology.SiteIds();
-  if (session_manager_.shard_count() > 1) {
-    // Per-shard registries: session counters (and, below, the per-site
-    // cache counters) report shard-locally; TakeObservabilitySnapshot
-    // merges them back into one document.
-    observability_.AllocateShardRegistries(session_manager_.shard_count());
-  }
   session_manager_.set_observability(&observability_);
   qos_api_.set_metrics(&observability_.metrics());
   session_manager_.set_on_complete([this](SessionId id, SimTime now) {
@@ -99,17 +92,7 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
     if (options_.cache.enabled) {
       cache_manager_ = std::make_unique<cache::CacheManager>(
           sites, options_.cache.manager);
-      if (session_manager_.shard_count() > 1) {
-        // Each site's cache reports into the same shard-local registry
-        // its sessions land in, so a busy site never contends with the
-        // others on a counter cache line.
-        cache_manager_->set_metrics([this](SiteId site) {
-          return &observability_.shard_metrics(
-              session_manager_.ShardOfSite(site));
-        });
-      } else {
-        cache_manager_->set_metrics(&observability_.metrics());
-      }
+      cache_manager_->set_metrics(&observability_.metrics());
       quality_manager_->generator().set_cache_view(cache_manager_.get());
     }
 
@@ -159,9 +142,8 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::SubmitDelivery(
   ++stats_.submitted;
   obs::Tracer& tracer = observability_.tracer();
   const SimTime now = simulator_->Now();
-  // The trace context (tracer track + quality-manager span state) is
-  // only touched when tracing is on; untraced submissions stay free of
-  // shared facade writes, which is what lets them run concurrently.
+  // A trace track is only allocated when tracing is on; the track
+  // travels with this submission into the planner's AdmissionContext.
   int64_t trace_track = 0;
   if (options_.observability.tracing) {
     trace_track = tracer.NewTrack(
@@ -171,9 +153,6 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::SubmitDelivery(
                  {{"content", std::to_string(content.value())},
                   {"client_site", std::to_string(client_site.value())},
                   {"kind", std::string(SystemKindName(options_.kind))}});
-    if (quality_manager_ != nullptr) {
-      quality_manager_->set_trace_context(trace_track, now);
-    }
   }
   DeliveryOutcome outcome;
   switch (options_.kind) {
@@ -185,7 +164,7 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::SubmitDelivery(
       break;
     case SystemKind::kVdbmsQuasaq:
       outcome = DeliverQuasaq(client_site, content, qos, profile,
-                              trace_track);
+                              trace_track, now);
       break;
   }
   if (outcome.status.ok()) {
@@ -200,9 +179,6 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::SubmitDelivery(
       tracer.Instant(trace_track, "delivery.rejected", now);
       tracer.EndAll(trace_track, now);
     }
-  }
-  if (options_.observability.tracing && quality_manager_ != nullptr) {
-    quality_manager_->set_trace_context(0, now);
   }
   return outcome;
 }
@@ -293,15 +269,18 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::DeliverQosApi(
 
 MediaDbSystem::DeliveryOutcome MediaDbSystem::DeliverQuasaq(
     SiteId site, LogicalOid content, const query::QosRequirement& qos,
-    const UserProfile* profile, int64_t trace_track) {
+    const UserProfile* profile, int64_t trace_track, SimTime now) {
   DeliveryOutcome outcome;
   if (replication_manager_ != nullptr) {
     int level =
         media::QualityLadder::Standard().CheapestSatisfyingLevel(qos.range);
     if (level >= 0) replication_manager_->RecordDemand(content, level);
   }
+  AdmissionContext context;
+  context.trace_track = trace_track;
+  context.now = now;
   Result<QualityManager::Admitted> admitted =
-      quality_manager_->AdmitQuery(site, content, qos, profile);
+      quality_manager_->AdmitQuery(site, content, qos, profile, context);
   if (!admitted.ok()) {
     outcome.status = admitted.status();
     return outcome;
@@ -353,9 +332,9 @@ Result<MediaDbSystem::DeliveryOutcome> MediaDbSystem::ChangeSessionQos(
     tracer.Begin(track, "session.renegotiate", now,
                  {{"session", std::to_string(session.value())}});
   }
-  if (options_.observability.tracing) {
-    quality_manager_->set_trace_context(track, now);
-  }
+  AdmissionContext context;
+  context.trace_track = track;
+  context.now = now;
   // A paused session holds no reservation to renegotiate in place: the
   // quality manager admission-probes the new plan (reserve + immediate
   // release, nothing stays held) — Resume re-admits the adopted vector
@@ -363,14 +342,10 @@ Result<MediaDbSystem::DeliveryOutcome> MediaDbSystem::ChangeSessionQos(
   Result<QualityManager::Admitted> admitted =
       record->paused
           ? quality_manager_->PlanPausedRenegotiation(
-                record->site, record->content, new_qos, profile)
-          : quality_manager_->RenegotiateDelivery(record->reservation,
-                                                  record->site,
-                                                  record->content, new_qos,
-                                                  profile);
-  if (options_.observability.tracing) {
-    quality_manager_->set_trace_context(0, now);
-  }
+                record->site, record->content, new_qos, profile, context)
+          : quality_manager_->RenegotiateDelivery(
+                record->reservation, record->site, record->content, new_qos,
+                profile, context);
   if (track != 0) {
     tracer.End(track, now,
                {{"outcome", admitted.ok() ? "adopted" : "rejected"}});
@@ -395,11 +370,8 @@ Result<MediaDbSystem::DeliveryOutcome> MediaDbSystem::ChangeSessionQos(
 MediaDbSystem::ObservabilitySnapshot
 MediaDbSystem::TakeObservabilitySnapshot() const {
   ObservabilitySnapshot snapshot;
-  // Merged exposition: with per-shard registries (session_shards > 1)
-  // the main + shard registries render as one document; unsharded this
-  // is byte-identical to the plain exposition.
-  snapshot.prometheus = observability_.MergedPrometheusText();
-  snapshot.metrics_json = observability_.MergedJsonSnapshot();
+  snapshot.prometheus = observability_.metrics().PrometheusText();
+  snapshot.metrics_json = observability_.metrics().JsonSnapshot();
   if (options_.observability.tracing) {
     snapshot.trace_json = observability_.tracer().ChromeTraceJson();
   }

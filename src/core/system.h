@@ -76,12 +76,6 @@ class MediaDbSystem {
     std::string cost_model = "lrb";
     uint64_t seed = 1;
     QualityManager::Options quality;
-    // Number of session-table shards (core/session_manager.h). 1 (the
-    // default) reproduces the unsharded behavior exactly, session IDs
-    // included. > 1 also gives each shard its own metrics registry
-    // (merged on snapshot) so concurrent admissions on different sites
-    // never contend on a session-table lock or a counter cache line.
-    int session_shards = 1;
     // CPU capacity of one server, as a fraction (1.0 = one CPU).
     double cpu_capacity = 1.0;
     // Oversubscribed VDBMS links stretch session time up to this factor.
@@ -284,9 +278,9 @@ class MediaDbSystem {
   /// matching logical OID (stored into `content`).
   Result<query::ParsedQuery> ParseAndResolve(std::string_view text,
                                              LogicalOid* content) const;
-  // `trace_track` is the delivery's span track (0 = untraced); it is a
-  // parameter, not a member, so concurrent (untraced) submissions never
-  // share mutable facade state.
+  // `trace_track` is the delivery's span track (0 = untraced) and `now`
+  // the submission's sim time; they are parameters, not members, so
+  // concurrent submissions never share mutable facade state.
   DeliveryOutcome DeliverVdbms(SiteId site, LogicalOid content,
                                int64_t trace_track);
   DeliveryOutcome DeliverQosApi(SiteId site, LogicalOid content,
@@ -294,7 +288,7 @@ class MediaDbSystem {
   DeliveryOutcome DeliverQuasaq(SiteId site, LogicalOid content,
                                 const query::QosRequirement& qos,
                                 const UserProfile* profile,
-                                int64_t trace_track);
+                                int64_t trace_track, SimTime now);
 
   sim::Simulator* simulator_;
   Options options_;

@@ -325,98 +325,34 @@ std::vector<std::string> MetricsRegistry::MetricNames() const {
   return names;
 }
 
-MetricsRegistry::MergedView MetricsRegistry::BuildMergedView(
-    const std::vector<const MetricsRegistry*>& parts) {
-  MergedView view;
-  for (const MetricsRegistry* part : parts) {
-    if (part == nullptr) continue;
-    MutexLock lock(&part->mu_);
-    for (const auto& [name, family] : part->families_) {
-      auto [entry, inserted] = view.try_emplace(name);
-      MergedFamily& merged = entry->second;
-      if (inserted) {
-        merged.type = family.type;
-        merged.help = family.help;
-      } else if (merged.type != family.type) {
-        continue;  // one name, one meaning: first part wins
-      }
-      auto series_for = [&](const std::string& key) -> MergedSeries& {
-        auto [it, fresh] = merged.series.try_emplace(key);
-        if (fresh) it->second.labels = family.label_sets.at(key);
-        return it->second;
-      };
-      switch (family.type) {
-        case MetricType::kCounter:
-          for (const auto& [key, counter] : family.counters) {
-            series_for(key).value += counter->value();
-          }
-          break;
-        case MetricType::kGauge:
-          for (const auto& [key, gauge] : family.gauges) {
-            MergedSeries& series = series_for(key);
-            series.value += gauge->value();
-            TimeSeries history = gauge->history();
-            for (const TimeSeries::Sample& s : history.samples()) {
-              series.history.Add(s.time, s.value);
-            }
-          }
-          break;
-        case MetricType::kHistogram:
-          for (const auto& [key, histogram] : family.histograms) {
-            MergedSeries& series = series_for(key);
-            Histogram::Snapshot snap = histogram->snapshot();
-            if (!series.histogram_init) {
-              series.histogram = std::move(snap);
-              series.histogram_init = true;
-              continue;
-            }
-            if (snap.bounds != series.histogram.bounds) continue;
-            for (size_t i = 0; i < snap.counts.size(); ++i) {
-              series.histogram.counts[i] += snap.counts[i];
-            }
-            if (snap.count > 0) {
-              if (series.histogram.count == 0) {
-                series.histogram.min = snap.min;
-                series.histogram.max = snap.max;
-              } else {
-                series.histogram.min =
-                    std::min(series.histogram.min, snap.min);
-                series.histogram.max =
-                    std::max(series.histogram.max, snap.max);
-              }
-            }
-            series.histogram.count += snap.count;
-            series.histogram.sum += snap.sum;
-          }
-          break;
-      }
+MetricsRegistry::View MetricsRegistry::BuildView() const {
+  View view;
+  MutexLock lock(&mu_);
+  for (const auto& [name, family] : families_) {
+    FamilyView& out = view[name];
+    out.type = family.type;
+    out.help = family.help;
+    auto series_for = [&](const std::string& key) -> SeriesView& {
+      SeriesView& series = out.series[key];
+      series.labels = family.label_sets.at(key);
+      return series;
+    };
+    for (const auto& [key, counter] : family.counters) {
+      series_for(key).value = counter->value();
     }
-  }
-  if (parts.size() > 1) {
-    // Shard histories interleave; time-order the merged series. A
-    // single part keeps its raw append order (byte-identical to the
-    // instance exposition).
-    for (auto& [name, family] : view) {
-      if (family.type != MetricType::kGauge) continue;
-      for (auto& [key, series] : family.series) {
-        if (series.history.empty()) continue;
-        std::vector<TimeSeries::Sample> samples = series.history.samples();
-        std::stable_sort(samples.begin(), samples.end(),
-                         [](const TimeSeries::Sample& a,
-                            const TimeSeries::Sample& b) {
-                           return a.time < b.time;
-                         });
-        series.history = TimeSeries();
-        for (const TimeSeries::Sample& s : samples) {
-          series.history.Add(s.time, s.value);
-        }
-      }
+    for (const auto& [key, gauge] : family.gauges) {
+      SeriesView& series = series_for(key);
+      series.value = gauge->value();
+      series.history = gauge->history();
+    }
+    for (const auto& [key, histogram] : family.histograms) {
+      series_for(key).histogram = histogram->snapshot();
     }
   }
   return view;
 }
 
-std::string MetricsRegistry::RenderPrometheus(const MergedView& view) {
+std::string MetricsRegistry::RenderPrometheus(const View& view) {
   std::string out;
   for (const auto& [name, family] : view) {
     out += "# HELP " + name + " " + family.help + "\n";
@@ -453,7 +389,7 @@ std::string MetricsRegistry::RenderPrometheus(const MergedView& view) {
   return out;
 }
 
-std::string MetricsRegistry::RenderJson(const MergedView& view) {
+std::string MetricsRegistry::RenderJson(const View& view) {
   std::string out = "{\n  \"metrics\": [";
   bool first_family = true;
   for (const auto& [name, family] : view) {
@@ -513,22 +449,12 @@ std::string MetricsRegistry::RenderJson(const MergedView& view) {
   return out;
 }
 
-std::string MetricsRegistry::MergedPrometheusText(
-    const std::vector<const MetricsRegistry*>& parts) {
-  return RenderPrometheus(BuildMergedView(parts));
-}
-
-std::string MetricsRegistry::MergedJsonSnapshot(
-    const std::vector<const MetricsRegistry*>& parts) {
-  return RenderJson(BuildMergedView(parts));
-}
-
 std::string MetricsRegistry::PrometheusText() const {
-  return MergedPrometheusText({this});
+  return RenderPrometheus(BuildView());
 }
 
 std::string MetricsRegistry::JsonSnapshot() const {
-  return RenderJson(BuildMergedView({this}));
+  return RenderJson(BuildView());
 }
 
 }  // namespace quasaq::obs

@@ -187,19 +187,6 @@ class MetricsRegistry {
   /// pairs; histogram series include per-bucket counts.
   std::string JsonSnapshot() const QUASAQ_EXCLUDES(mu_);
 
-  // Merge-on-snapshot exposition for sharded registries: renders the
-  // union of `parts` as one document. Counter and gauge values sum per
-  // series, histograms merge per-bucket, gauge histories concatenate
-  // (time-sorted when merging more than one part). With a single part
-  // the output is byte-identical to the instance methods — which are in
-  // fact implemented on top of these. When parts disagree on a family's
-  // type (or a histogram's bucket layout) the first part wins and the
-  // conflicting series are skipped.
-  static std::string MergedPrometheusText(
-      const std::vector<const MetricsRegistry*>& parts);
-  static std::string MergedJsonSnapshot(
-      const std::vector<const MetricsRegistry*>& parts);
-
  private:
   // Transparent child-map comparator: compares stored canonical keys
   // ("k=v,k=v", label pairs sorted) against a *sorted* label set without
@@ -231,25 +218,24 @@ class MetricsRegistry {
     std::map<std::string, Labels> label_sets;
   };
 
-  // One series' state accumulated across the merged parts.
-  struct MergedSeries {
+  // A point-in-time copy of every family, taken under mu_ and rendered
+  // by the exposition formats after the lock is released.
+  struct SeriesView {
     Labels labels;
-    double value = 0.0;  // counter / gauge sum
-    TimeSeries history;  // gauge history, parts concatenated
+    double value = 0.0;  // counter / gauge value
+    TimeSeries history;  // gauge history
     Histogram::Snapshot histogram;
-    bool histogram_init = false;
   };
-  struct MergedFamily {
+  struct FamilyView {
     MetricType type = MetricType::kCounter;
     std::string help;
-    std::map<std::string, MergedSeries> series;  // canonical key order
+    std::map<std::string, SeriesView> series;  // canonical key order
   };
-  using MergedView = std::map<std::string, MergedFamily>;
+  using View = std::map<std::string, FamilyView>;
 
-  static MergedView BuildMergedView(
-      const std::vector<const MetricsRegistry*>& parts);
-  static std::string RenderPrometheus(const MergedView& view);
-  static std::string RenderJson(const MergedView& view);
+  View BuildView() const QUASAQ_EXCLUDES(mu_);
+  static std::string RenderPrometheus(const View& view);
+  static std::string RenderJson(const View& view);
 
   Family* ResolveFamily(std::string_view name, std::string_view help,
                         MetricType type) QUASAQ_REQUIRES(mu_);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,7 +21,8 @@
 
 // Multi-threaded stress tests for the subsystems that carry thread-safety
 // annotations (src/common/sync.h): ResourcePool, CompositeQosApi,
-// SegmentCache/CacheManager, and SessionManager. These are the tests the
+// SegmentCache/CacheManager, SessionManager and the planning pipeline
+// (QualityManager and the MediaDbSystem facade). These are the tests the
 // `tsan` CI leg runs under -fsanitize=thread — the annotations promise
 // the locking discipline is *declared* correctly; TSan on these
 // interleavings checks the declarations describe reality.
@@ -306,19 +308,17 @@ TEST(ConcurrencyStressTest, SessionLifecycleInterleavings) {
 }
 
 // The full admission pipeline under 8 submitter threads: concurrent
-// admit / renegotiate / probe / cancel through the sharded MediaDbSystem
-// facade, parallel plan costing on, tracing off (traced admissions are
-// single-threaded by contract). Each thread owns the sessions it starts,
-// so the races under test are the shared layers — plan stream fan-out,
-// the composite QoS API, the sharded session table and the per-shard
-// metrics registries — not cross-thread session ownership.
-TEST(ConcurrencyStressTest, ShardedAdmitRenegotiateCancelPipeline) {
+// admit / renegotiate / probe / cancel through the MediaDbSystem facade,
+// parallel plan costing on. Each thread owns the sessions it starts, so
+// the races under test are the shared layers — plan stream fan-out, the
+// composite QoS API, the session table and the metrics registry — not
+// cross-thread session ownership.
+TEST(ConcurrencyStressTest, FacadeAdmitRenegotiateCancelPipeline) {
   constexpr int kOpsPerThread = 150;
   sim::Simulator simulator;
   core::MediaDbSystem::Options options;
   options.kind = core::SystemKind::kVdbmsQuasaq;
   options.topology = net::Topology::Uniform(4);
-  options.session_shards = 4;
   options.seed = 17;
   options.quality.generator.parallel_costing = true;
   options.quality.generator.costing_threads = 2;
@@ -372,11 +372,100 @@ TEST(ConcurrencyStressTest, ShardedAdmitRenegotiateCancelPipeline) {
   EXPECT_EQ(plan_stats.queries, stats.submitted);
   EXPECT_EQ(plan_stats.admitted, admitted.load());
   EXPECT_GT(renegotiated.load(), 0u);
-  // Merged exposition renders cleanly after the dust settles.
+  // The exposition renders cleanly after the dust settles.
   core::MediaDbSystem::ObservabilitySnapshot snapshot =
       system.TakeObservabilitySnapshot();
   EXPECT_NE(snapshot.prometheus.find("quasaq_session_started_total"),
             std::string::npos);
+}
+
+// The planner itself under 8 threads with the per-query state that used
+// to live on the shared QualityManager: the user-satisfaction goal (a
+// gain per QoS window) and tracing, each call on its own track.
+// Concurrent AdmitQuery (relaxing through a profile), RenegotiateDelivery
+// and ExplainPlans must leave the counters reconciled, the pool drained
+// and every span closed.
+TEST(ConcurrencyStressTest, TracedSatisfactionGoalAdmitRenegotiateExplain) {
+  constexpr int kOpsPerThread = 60;
+  sim::Simulator simulator;
+  core::MediaDbSystem::Options options;
+  options.kind = core::SystemKind::kVdbmsQuasaq;
+  options.topology = net::Topology::Uniform(4);
+  options.seed = 23;
+  options.quality.goal =
+      core::QualityManager::OptimizationGoal::kUserSatisfaction;
+  options.observability.tracing = true;
+  core::MediaDbSystem system(&simulator, options);
+  core::QualityManager& planner = *system.quality_manager();
+  obs::Tracer& tracer = system.observability().tracer();
+  const std::vector<SiteId> sites = system.topology().SiteIds();
+  const core::UserProfile profile(UserId(1), "stress");
+
+  std::atomic<uint64_t> admitted{0};
+  std::atomic<uint64_t> relaxed{0};
+  std::vector<std::vector<int64_t>> tracks(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(9000 + t);
+      auto context = [&]() {
+        core::AdmissionContext ctx;
+        ctx.trace_track = tracer.NewTrack("stress " + std::to_string(t));
+        ctx.now = simulator.Now();
+        tracks[static_cast<size_t>(t)].push_back(ctx.trace_track);
+        return ctx;
+      };
+      const SiteId site = sites[static_cast<size_t>(t) % sites.size()];
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        LogicalOid content(static_cast<int64_t>((i + 5 * t) % 15));
+        query::QosRequirement qos;
+        qos.range.min_frame_rate = rng.Uniform(1.0, 25.0);
+        if (rng.Bernoulli(0.3)) {
+          Result<std::vector<core::QualityManager::RankedPlan>> plans =
+              planner.ExplainPlans(site, content, qos, 4, context());
+          EXPECT_TRUE(plans.ok()) << plans.status().ToString();
+        }
+        Result<core::QualityManager::Admitted> admission =
+            planner.AdmitQuery(site, content, qos, &profile, context());
+        if (!admission.ok()) continue;  // admission pressure is fine
+        ++admitted;
+        if (admission->renegotiated) ++relaxed;
+        if (rng.Bernoulli(0.5)) {
+          query::QosRequirement changed;
+          changed.range.min_frame_rate = rng.Uniform(1.0, 25.0);
+          Result<core::QualityManager::Admitted> swapped =
+              planner.RenegotiateDelivery(admission->reservation, site,
+                                          content, changed, &profile,
+                                          context());
+          if (swapped.ok()) {
+            EXPECT_EQ(swapped->reservation, admission->reservation);
+          }
+        }
+        EXPECT_TRUE(planner.CompleteDelivery(*admission).ok());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const core::QualityManager::Stats stats = planner.stats();
+  EXPECT_EQ(stats.queries, uint64_t{kThreads} * kOpsPerThread);
+  EXPECT_EQ(stats.admitted, admitted.load());
+  EXPECT_EQ(stats.renegotiated, relaxed.load());
+  EXPECT_EQ(stats.admitted + stats.rejected_no_plan +
+                stats.rejected_no_resources,
+            stats.queries);
+  EXPECT_GT(stats.admitted, 0u);
+  EXPECT_EQ(system.qos_api().active_reservations(), 0u);
+  EXPECT_DOUBLE_EQ(system.pool().MaxUtilization(), 0.0);
+  for (const std::vector<int64_t>& per_thread : tracks) {
+    for (int64_t track : per_thread) {
+      ASSERT_NE(track, 0);
+      EXPECT_EQ(tracer.OpenSpans(track), 0) << "track " << track;
+    }
+  }
+  EXPECT_EQ(tracer.unbalanced_ends(), 0u);
+  EXPECT_EQ(tracer.dropped_events(), 0u);
 }
 
 // The metrics registry is the one object every instrumented subsystem

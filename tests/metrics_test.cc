@@ -167,61 +167,6 @@ TEST(MetricsRegistryTest, JsonSnapshotMentionsEverySeries) {
   EXPECT_NE(json.find("[1, 0.5]"), std::string::npos);
 }
 
-// The merged exposition is what TakeObservabilitySnapshot renders when
-// per-shard registries exist: same-name families combine, counters sum
-// per label set, histograms merge per-bucket.
-TEST(MetricsRegistryTest, MergedExpositionSumsAcrossRegistries) {
-  MetricsRegistry main_registry, shard0, shard1;
-  main_registry.GetCounter("quasaq_test_hits_total", "Hits", {{"site", "0"}})
-      ->Increment(1.0);
-  shard0.GetCounter("quasaq_test_hits_total", "Hits", {{"site", "0"}})
-      ->Increment(2.0);
-  shard1.GetCounter("quasaq_test_hits_total", "Hits", {{"site", "1"}})
-      ->Increment(4.0);
-  shard0
-      .GetHistogram("quasaq_test_wait_ms", "Waiting",
-                    HistogramOptions{1.0, 2.0, 2})
-      ->Observe(0.5);
-  shard1
-      .GetHistogram("quasaq_test_wait_ms", "Waiting",
-                    HistogramOptions{1.0, 2.0, 2})
-      ->Observe(3.0);
-  const std::string text = MetricsRegistry::MergedPrometheusText(
-      {&main_registry, &shard0, &shard1});
-  // Same label set sums across registries; distinct label sets stay
-  // separate series of one family.
-  EXPECT_NE(text.find("quasaq_test_hits_total{site=\"0\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("quasaq_test_hits_total{site=\"1\"} 4"),
-            std::string::npos);
-  // The family header renders once, not per contributing registry.
-  const size_t first = text.find("# TYPE quasaq_test_hits_total counter");
-  ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(text.find("# TYPE quasaq_test_hits_total counter", first + 1),
-            std::string::npos);
-  // Histogram buckets merge: both observations land in one series.
-  EXPECT_NE(text.find("quasaq_test_wait_ms_bucket{le=\"1\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("quasaq_test_wait_ms_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("quasaq_test_wait_ms_count 2"), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, MergedExpositionOfOneRegistryIsPlainExposition) {
-  MetricsRegistry registry;
-  registry.GetCounter("quasaq_test_hits_total", "Hits", {{"site", "2"}})
-      ->Increment(5.0);
-  registry.GetGauge("quasaq_test_fill_ratio", "Fill")->Set(0.25);
-  registry
-      .GetHistogram("quasaq_test_wait_ms", "Waiting",
-                    HistogramOptions{1.0, 2.0, 2})
-      ->Observe(0.5);
-  EXPECT_EQ(MetricsRegistry::MergedPrometheusText({&registry}),
-            registry.PrometheusText());
-  EXPECT_EQ(MetricsRegistry::MergedJsonSnapshot({&registry}),
-            registry.JsonSnapshot());
-}
-
 TEST(JsonEscapeStringTest, EscapesQuotesBackslashesAndControlChars) {
   EXPECT_EQ(JsonEscapeString("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(JsonEscapeString("line\nbreak"), "line\\nbreak");

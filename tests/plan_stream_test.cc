@@ -2,17 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/quality_manager.h"
 #include "media/library.h"
 
-// The refactoring contract of the lazy best-first plan stream: it must
-// yield plans in bit-identical order to the eager materialize-and-sort
-// pipeline (same cost key, same tie-breaks), so switching
-// PlanGenerator::Options::lazy_enumeration can never change which plan
-// a query is served — only how much of the search space gets expanded.
+// The contract of the lazy best-first plan stream: it must yield plans
+// in bit-identical order to the eager materialize-and-sort oracle
+// (PlanGenerator::Generate + RuntimeCostEvaluator::Rank: same cost key,
+// same tie-breaks), so planning through the stream can never change
+// which plan a query is served — only how much of the search space gets
+// expanded.
 
 namespace quasaq::core {
 namespace {
@@ -98,7 +101,7 @@ TEST_F(PlanStreamTest, YieldsEveryPlanInEagerRankingOrder) {
   std::vector<Plan> eager = EagerRanking(generator, evaluator, qos, pool_);
   ASSERT_FALSE(eager.empty());
 
-  PlanStream stream(&generator, &evaluator, &pool_, SiteId(0), LogicalOid(0),
+  PlanStream stream(&generator, evaluator, &pool_, SiteId(0), LogicalOid(0),
                     qos);
   ASSERT_TRUE(stream.status().ok());
   size_t i = 0;
@@ -127,7 +130,7 @@ TEST_F(PlanStreamTest, OrderHoldsUnderLoadedPool) {
 
   query::QosRequirement qos = WideQos();
   std::vector<Plan> eager = EagerRanking(generator, evaluator, qos, pool_);
-  PlanStream stream(&generator, &evaluator, &pool_, SiteId(0), LogicalOid(0),
+  PlanStream stream(&generator, evaluator, &pool_, SiteId(0), LogicalOid(0),
                     qos);
   size_t i = 0;
   while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
@@ -152,7 +155,7 @@ TEST_F(PlanStreamTest, StatefulRandomModelStillMatchesEagerOrder) {
 
   query::QosRequirement qos = WideQos();
   std::vector<Plan> eager = EagerRanking(generator, eager_eval, qos, pool_);
-  PlanStream stream(&generator, &stream_eval, &pool_, SiteId(0),
+  PlanStream stream(&generator, stream_eval, &pool_, SiteId(0),
                     LogicalOid(0), qos);
   size_t i = 0;
   while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
@@ -173,7 +176,7 @@ TEST_F(PlanStreamTest, GainFunctionDisablesTheBoundButNotTheOrder) {
   EXPECT_FALSE(evaluator.SupportsCostLowerBound());
 
   std::vector<Plan> eager = EagerRanking(generator, evaluator, qos, pool_);
-  PlanStream stream(&generator, &evaluator, &pool_, SiteId(0), LogicalOid(0),
+  PlanStream stream(&generator, evaluator, &pool_, SiteId(0), LogicalOid(0),
                     qos);
   size_t i = 0;
   while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
@@ -187,113 +190,247 @@ TEST_F(PlanStreamTest, GainFunctionDisablesTheBoundButNotTheOrder) {
 TEST_F(PlanStreamTest, UnknownContentFailsConstruction) {
   PlanGenerator generator(&metadata_, sites_, PlanGenerator::Options());
   RuntimeCostEvaluator evaluator(&lrb_);
-  PlanStream stream(&generator, &evaluator, &pool_, SiteId(0),
+  PlanStream stream(&generator, evaluator, &pool_, SiteId(0),
                     LogicalOid(99), WideQos());
   EXPECT_EQ(stream.status().code(), StatusCode::kNotFound);
   EXPECT_FALSE(stream.Next().has_value());
 }
 
-// Side-by-side QualityManagers — streamed vs eager — over identically
-// declared pools. Every scenario must produce the same admitted plan
-// (or the same rejection), and the pools must drift in lockstep.
+// QualityManager, which plans only through the stream, against the
+// eager oracle: Generate + Rank, then the first plan admission control
+// takes, walked over a twin pool that receives the same reservations.
+// Every scenario must produce the same admitted plan (or the same
+// rejection), and the pools must drift in lockstep.
 class StreamedVsEagerTest : public PlanStreamTest {
  protected:
   StreamedVsEagerTest()
-      : eager_api_(&eager_pool_), streamed_api_(&streamed_pool_) {
-    DeclareBuckets(eager_pool_);
+      : oracle_api_(&oracle_pool_), streamed_api_(&streamed_pool_) {
+    DeclareBuckets(oracle_pool_);
     DeclareBuckets(streamed_pool_);
-    QualityManager::Options eager_options;
-    eager_options.generator.lazy_enumeration = false;
-    eager_ = std::make_unique<QualityManager>(&metadata_, &eager_api_, &lrb_,
-                                              sites_, eager_options);
-    QualityManager::Options streamed_options;  // lazy is the default
-    streamed_ = std::make_unique<QualityManager>(
-        &metadata_, &streamed_api_, &lrb_, sites_, streamed_options);
+    UseOptions(QualityManager::Options());
   }
 
-  void ExpectSameOutcome(const query::QosRequirement& qos,
-                         const UserProfile* profile = nullptr) {
-    Result<QualityManager::Admitted> eager =
-        eager_->AdmitQuery(SiteId(0), LogicalOid(0), qos, profile);
-    Result<QualityManager::Admitted> streamed =
-        streamed_->AdmitQuery(SiteId(0), LogicalOid(0), qos, profile);
-    ASSERT_EQ(eager.ok(), streamed.ok())
-        << "eager: " << eager.status().ToString()
+  void UseOptions(const QualityManager::Options& options) {
+    options_ = options;
+    oracle_generator_ =
+        std::make_unique<PlanGenerator>(&metadata_, sites_, options.generator);
+    streamed_ = std::make_unique<QualityManager>(
+        &metadata_, &streamed_api_, &lrb_, sites_, options);
+  }
+
+  // The oracle's full ranking of the space under `qos`, costed against
+  // the oracle pool with the gain the optimization goal assigns.
+  std::vector<Plan> OracleRanking(const query::QosRequirement& qos) {
+    Result<std::vector<Plan>> plans =
+        oracle_generator_->Generate(SiteId(0), LogicalOid(0), qos);
+    if (!plans.ok()) return {};
+    oracle_generated_ += plans->size();
+    RuntimeCostEvaluator evaluator(&lrb_);
+    if (options_.goal == QualityManager::OptimizationGoal::kUserSatisfaction) {
+      evaluator.set_gain_function(
+          MakeSatisfactionGain(qos.range, options_.utility_weights));
+    }
+    evaluator.Rank(*plans, oracle_pool_);
+    return std::move(*plans);
+  }
+
+  // Walks the oracle ranking under `qos`, then each relaxed window the
+  // profile allows, and returns the first plan `adopt` accepts.
+  template <typename Adopt>
+  Result<QualityManager::Admitted> OracleWalk(
+      const query::QosRequirement& qos, const UserProfile* profile,
+      Adopt adopt) {
+    query::QosRequirement bounds = qos;
+    bool any_plans = false;
+    for (int round = 0; round <= options_.max_renegotiation_rounds;
+         ++round) {
+      if (round > 0 && (!options_.enable_renegotiation || profile == nullptr ||
+                        !profile->RelaxForRenegotiation(bounds.range))) {
+        break;
+      }
+      std::vector<Plan> ranking = OracleRanking(bounds);
+      any_plans = any_plans || !ranking.empty();
+      for (Plan& plan : ranking) {
+        Result<res::ReservationId> adopted = adopt(plan);
+        if (!adopted.ok()) continue;
+        QualityManager::Admitted admitted;
+        admitted.plan = std::move(plan);
+        admitted.reservation = *adopted;
+        admitted.renegotiated = round > 0;
+        return admitted;
+      }
+    }
+    if (any_plans) return Status::ResourceExhausted("no admittable plan");
+    return Status::NotFound("no plan satisfies the QoS bounds");
+  }
+
+  Result<QualityManager::Admitted> OracleAdmit(
+      const query::QosRequirement& qos, const UserProfile* profile) {
+    return OracleWalk(qos, profile,
+                      [this](const Plan& plan) -> Result<res::ReservationId> {
+                        if (!oracle_api_.Admissible(plan.resources)) {
+                          return Status::ResourceExhausted("inadmissible");
+                        }
+                        return oracle_api_.Reserve(plan.resources);
+                      });
+  }
+
+  void ExpectSame(const Result<QualityManager::Admitted>& oracle,
+                  const Result<QualityManager::Admitted>& streamed) {
+    ASSERT_EQ(oracle.ok(), streamed.ok())
+        << "oracle: " << oracle.status().ToString()
         << " streamed: " << streamed.status().ToString();
-    if (eager.ok()) {
-      EXPECT_EQ(eager->plan.ToString(), streamed->plan.ToString());
-      EXPECT_DOUBLE_EQ(eager->plan.wire_rate_kbps,
+    if (oracle.ok()) {
+      EXPECT_EQ(oracle->plan.ToString(), streamed->plan.ToString());
+      EXPECT_DOUBLE_EQ(oracle->plan.wire_rate_kbps,
                        streamed->plan.wire_rate_kbps);
-      EXPECT_EQ(eager->renegotiated, streamed->renegotiated);
-      EXPECT_DOUBLE_EQ(eager_pool_.MaxUtilization(),
+      EXPECT_EQ(oracle->renegotiated, streamed->renegotiated);
+      EXPECT_DOUBLE_EQ(oracle_pool_.MaxUtilization(),
                        streamed_pool_.MaxUtilization());
     } else {
-      EXPECT_EQ(eager.status().code(), streamed.status().code());
+      EXPECT_EQ(oracle.status().code(), streamed.status().code());
     }
   }
 
-  res::ResourcePool eager_pool_;
+  // Admits on both sides; returns the pair of reservations (invalid
+  // when rejected).
+  std::pair<res::ReservationId, res::ReservationId> ExpectSameOutcome(
+      const query::QosRequirement& qos,
+      const UserProfile* profile = nullptr) {
+    Result<QualityManager::Admitted> oracle = OracleAdmit(qos, profile);
+    Result<QualityManager::Admitted> streamed =
+        streamed_->AdmitQuery(SiteId(0), LogicalOid(0), qos, profile);
+    ExpectSame(oracle, streamed);
+    if (!oracle.ok() || !streamed.ok()) {
+      return {res::kInvalidReservationId, res::kInvalidReservationId};
+    }
+    return {oracle->reservation, streamed->reservation};
+  }
+
+  // The scenarios every goal must agree on: wide-open QoS repeated until
+  // the pools carry real load, a tight quality floor, security (which
+  // brings encrypted activity sets into the space), and an unsatisfiable
+  // window.
+  void RunScenarios() {
+    for (int i = 0; i < 4; ++i) ExpectSameOutcome(WideQos());
+    query::QosRequirement tight;
+    tight.range.min_frame_rate = 20.0;
+    tight.range.min_resolution = media::kResolutionVcd;
+    ExpectSameOutcome(tight);
+    query::QosRequirement secure = WideQos();
+    secure.min_security = media::SecurityLevel::kStandard;
+    ExpectSameOutcome(secure);
+    query::QosRequirement impossible;
+    impossible.range.min_frame_rate = 60.0;
+    ExpectSameOutcome(impossible);
+  }
+
+  // Fills both pools' network links to 3000 of 3200 KB/s.
+  void LoadNetwork() {
+    ResourceVector used;
+    for (SiteId site : sites_) {
+      used.Add({site, ResourceKind::kNetworkBandwidth}, 3000.0);
+    }
+    ASSERT_TRUE(oracle_pool_.Acquire(used).ok());
+    ASSERT_TRUE(streamed_pool_.Acquire(used).ok());
+  }
+
+  QualityManager::Options options_;
+  res::ResourcePool oracle_pool_;
   res::ResourcePool streamed_pool_;
-  res::CompositeQosApi eager_api_;
+  res::CompositeQosApi oracle_api_;
   res::CompositeQosApi streamed_api_;
-  std::unique_ptr<QualityManager> eager_;
+  std::unique_ptr<PlanGenerator> oracle_generator_;
   std::unique_ptr<QualityManager> streamed_;
+  size_t oracle_generated_ = 0;
 };
 
 TEST_F(StreamedVsEagerTest, AdmitsIdenticalPlansAcrossScenarios) {
-  // Wide-open QoS, repeated until the pools carry real load.
-  for (int i = 0; i < 4; ++i) ExpectSameOutcome(WideQos());
-  // Tight quality floor.
-  query::QosRequirement tight;
-  tight.range.min_frame_rate = 20.0;
-  tight.range.min_resolution = media::kResolutionVcd;
-  ExpectSameOutcome(tight);
-  // Security requested: encrypted activity sets join the space.
-  query::QosRequirement secure = WideQos();
-  secure.min_security = media::SecurityLevel::kStandard;
-  ExpectSameOutcome(secure);
-  // Unsatisfiable window rejects identically.
-  query::QosRequirement impossible;
-  impossible.range.min_frame_rate = 60.0;
-  ExpectSameOutcome(impossible);
+  RunScenarios();
 }
 
-TEST_F(StreamedVsEagerTest, RenegotiationMatchesEager) {
+TEST_F(StreamedVsEagerTest, UserSatisfactionGoalMatchesOracle) {
+  QualityManager::Options options;
+  options.goal = QualityManager::OptimizationGoal::kUserSatisfaction;
+  UseOptions(options);
+  RunScenarios();
   UserProfile profile(UserId(1), "user");
   query::QosRequirement qos;
   qos.range.min_resolution = media::kResolutionSvcd;
   qos.range.min_color_depth_bits = 24;
   qos.range.min_frame_rate = 20.0;
-  ResourceVector used;
-  for (SiteId site : sites_) {
-    used.Add({site, ResourceKind::kNetworkBandwidth}, 3000.0);
-  }
-  ASSERT_TRUE(eager_pool_.Acquire(used).ok());
-  ASSERT_TRUE(streamed_pool_.Acquire(used).ok());
+  LoadNetwork();
   ExpectSameOutcome(qos, &profile);
-  EXPECT_EQ(eager_->stats().renegotiated, streamed_->stats().renegotiated);
+}
+
+TEST_F(StreamedVsEagerTest, RenegotiationMatchesEager) {
+  // Relaxation: the requested window is unservable on the loaded links,
+  // so both sides must relax along the profile's least-valued axis and
+  // land on the same plan.
+  UserProfile profile(UserId(1), "user");
+  query::QosRequirement qos;
+  qos.range.min_resolution = media::kResolutionSvcd;
+  qos.range.min_color_depth_bits = 24;
+  qos.range.min_frame_rate = 20.0;
+  LoadNetwork();
+  ExpectSameOutcome(qos, &profile);
+  EXPECT_EQ(streamed_->stats().renegotiated, 1u);
+}
+
+TEST_F(StreamedVsEagerTest, RenegotiateDeliveryMatchesOracle) {
+  auto [oracle_id, streamed_id] = ExpectSameOutcome(WideQos());
+  ASSERT_NE(streamed_id, res::kInvalidReservationId);
+  // Load the pools, then move the running delivery to a stricter window:
+  // both sides swap the reservation in place to the first plan of the
+  // new ranking that fits.
+  ExpectSameOutcome(WideQos());
+  query::QosRequirement stricter;
+  stricter.range.min_frame_rate = 20.0;
+  stricter.range.min_resolution = media::kResolutionVcd;
+  Result<QualityManager::Admitted> oracle = OracleWalk(
+      stricter, nullptr,
+      [this, id = oracle_id](const Plan& plan) -> Result<res::ReservationId> {
+        Status status = oracle_api_.Renegotiate(id, plan.resources);
+        if (!status.ok()) return status;
+        return id;
+      });
+  if (oracle.ok()) oracle->renegotiated = true;
+  Result<QualityManager::Admitted> streamed = streamed_->RenegotiateDelivery(
+      streamed_id, SiteId(0), LogicalOid(0), stricter);
+  ExpectSame(oracle, streamed);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(streamed->reservation, streamed_id);
 }
 
 TEST_F(StreamedVsEagerTest, ExplainListingsAreIdentical) {
-  Result<std::vector<QualityManager::RankedPlan>> eager =
-      eager_->ExplainPlans(SiteId(0), LogicalOid(0), WideQos(), 8);
-  Result<std::vector<QualityManager::RankedPlan>> streamed =
-      streamed_->ExplainPlans(SiteId(0), LogicalOid(0), WideQos(), 8);
-  ASSERT_TRUE(eager.ok());
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_EQ(QualityManager::FormatPlanListing(LogicalOid(0), *eager),
-            QualityManager::FormatPlanListing(LogicalOid(0), *streamed));
+  ExpectSameOutcome(WideQos());  // explain against a loaded pool
+  for (size_t limit : {size_t{1}, size_t{3}, size_t{8}, size_t{10000}}) {
+    std::vector<QualityManager::RankedPlan> oracle;
+    for (Plan& plan : OracleRanking(WideQos())) {
+      if (oracle.size() >= limit) break;
+      QualityManager::RankedPlan entry;
+      entry.cost = lrb_.Cost(plan.resources, oracle_pool_);
+      entry.admissible = oracle_api_.Admissible(plan.resources);
+      entry.plan = std::move(plan);
+      oracle.push_back(std::move(entry));
+    }
+    Result<std::vector<QualityManager::RankedPlan>> streamed =
+        streamed_->ExplainPlans(SiteId(0), LogicalOid(0), WideQos(), limit);
+    ASSERT_TRUE(streamed.ok());
+    EXPECT_EQ(streamed->size(), oracle.size()) << "limit " << limit;
+    EXPECT_EQ(QualityManager::FormatPlanListing(LogicalOid(0), oracle),
+              QualityManager::FormatPlanListing(LogicalOid(0), *streamed))
+        << "limit " << limit;
+  }
 }
 
 TEST_F(StreamedVsEagerTest, StreamedMaterializesStrictlyFewerPlans) {
   ExpectSameOutcome(WideQos());
-  // The eager path pays for the whole space on every query; the stream
+  // The oracle pays for the whole space on every query; the stream
   // stops at the first admitted plan.
-  EXPECT_GT(eager_->stats().plans_generated, 0u);
-  EXPECT_LT(streamed_->stats().plans_generated,
-            eager_->stats().plans_generated);
+  EXPECT_GT(oracle_generated_, 0u);
+  EXPECT_LT(streamed_->stats().plans_generated, oracle_generated_);
   EXPECT_GT(streamed_->stats().groups_pruned, 0u);
-  EXPECT_EQ(eager_->stats().groups_pruned, 0u);
 }
 
 // Satellite regression: ExplainPlans used to enumerate and rank the full

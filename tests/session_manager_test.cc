@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/system.h"
 
 // Session lifecycle layer: the invariant under test throughout is that
@@ -148,58 +150,33 @@ TEST_F(SessionManagerTest, AdoptedPlanIsWhatResumeReadmits) {
   EXPECT_DOUBLE_EQ(pool_.MaxUtilization(), 0.0);
 }
 
-// Sharded session table: ID routing, cross-shard lookup and aggregation.
-class ShardedSessionManagerTest : public ::testing::Test {
- protected:
-  static constexpr int kShards = 4;
-  static constexpr int kSites = 8;
-
-  ShardedSessionManagerTest()
-      : api_(&pool_), manager_(&simulator_, &api_, kShards) {
-    for (int site = 0; site < kSites; ++site) {
-      EXPECT_TRUE(pool_.DeclareBucket(
-                          {SiteId(site), ResourceKind::kNetworkBandwidth},
-                          1000.0)
-                      .ok());
-    }
+// Sessions on many sites share the one table: lookup, lifecycle calls
+// and the outstanding()/completed() totals cover every site.
+TEST_F(SessionManagerTest, CrossSiteLookupFindsEverySession) {
+  constexpr int kSites = 8;
+  for (int site = 2; site < kSites; ++site) {
+    ASSERT_TRUE(pool_
+                    .DeclareBucket(
+                        {SiteId(site), ResourceKind::kNetworkBandwidth},
+                        1000.0)
+                    .ok());
   }
-
-  SessionId StartOn(int site, double kbps = 100.0) {
-    ResourceVector v;
-    v.Add({SiteId(site), ResourceKind::kNetworkBandwidth}, kbps);
-    Result<res::ReservationId> r = api_.Reserve(v);
-    EXPECT_TRUE(r.ok());
+  std::vector<SessionId> ids;
+  for (int site = 0; site < kSites; ++site) {
+    Result<res::ReservationId> r = api_.Reserve(Kbps(site, 100.0));
+    ASSERT_TRUE(r.ok());
     SessionManager::Record record;
     record.content = LogicalOid(site);
     record.site = SiteId(site);
     record.reservation = *r;
-    return manager_.Start(std::move(record), 60.0);
+    ids.push_back(manager_.Start(std::move(record), 60.0));
   }
-
-  sim::Simulator simulator_;
-  res::ResourcePool pool_;
-  res::CompositeQosApi api_;
-  SessionManager manager_;
-};
-
-TEST_F(ShardedSessionManagerTest, SessionIdsEncodeTheOwningShard) {
-  for (int site = 0; site < kSites; ++site) {
-    SessionId id = StartOn(site);
-    EXPECT_EQ(manager_.ShardOfSession(id), manager_.ShardOfSite(SiteId(site)))
-        << "site " << site;
-  }
-}
-
-TEST_F(ShardedSessionManagerTest, CrossShardLookupFindsEverySession) {
-  std::vector<SessionId> ids;
-  for (int site = 0; site < kSites; ++site) ids.push_back(StartOn(site));
-  // IDs are distinct even though every shard runs its own sequence.
   for (size_t i = 0; i < ids.size(); ++i) {
     for (size_t j = i + 1; j < ids.size(); ++j) {
       EXPECT_NE(ids[i], ids[j]);
     }
   }
-  EXPECT_EQ(manager_.outstanding(), kSites);  // aggregated across shards
+  EXPECT_EQ(manager_.outstanding(), kSites);
   for (int site = 0; site < kSites; ++site) {
     const SessionManager::Record* record = manager_.Find(ids[site]);
     ASSERT_NE(record, nullptr) << "site " << site;
@@ -209,8 +186,6 @@ TEST_F(ShardedSessionManagerTest, CrossShardLookupFindsEverySession) {
     ASSERT_TRUE(copy.has_value());
     EXPECT_EQ(copy->content, LogicalOid(site));
   }
-  // Lifecycle calls route by the ID's encoded shard, whatever site the
-  // caller is on.
   ASSERT_TRUE(manager_.Pause(ids[3]).ok());
   ASSERT_TRUE(manager_.Resume(ids[3]).ok());
   ASSERT_TRUE(manager_.Cancel(ids[5]).ok());
@@ -221,16 +196,50 @@ TEST_F(ShardedSessionManagerTest, CrossShardLookupFindsEverySession) {
   EXPECT_DOUBLE_EQ(pool_.MaxUtilization(), 0.0);
 }
 
-TEST_F(SessionManagerTest, ShardCountOneReproducesPreShardingIds) {
-  // The default single-shard manager must hand out the dense 1, 2, 3...
-  // sequence earlier releases did — harnesses key logs on those IDs.
-  EXPECT_EQ(manager_.shard_count(), 1);
+TEST_F(SessionManagerTest, SessionIdsAreDenseFromOne) {
+  // Harnesses key logs on the dense 1, 2, 3... sequence.
   EXPECT_EQ(manager_.Start(ReservedRecord(Reserve(10.0)), 60.0),
             SessionId(1));
   EXPECT_EQ(manager_.Start(ReservedRecord(Reserve(10.0)), 60.0),
             SessionId(2));
   EXPECT_EQ(manager_.Start(ReservedRecord(Reserve(10.0)), 60.0),
             SessionId(3));
+}
+
+// VDBMS pins are exact: pinning and unpinning any multiset of bitrates,
+// in any order and through any mix of cancel, pause and completion,
+// leaves every site at exactly zero.
+TEST_F(SessionManagerTest, VdbmsPinsUnwindToExactlyZeroInAnyOrder) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    std::vector<SessionId> ids;
+    for (int i = 0; i < 40; ++i) {
+      SessionManager::Record record;
+      record.content = LogicalOid(i);
+      record.site = SiteId(static_cast<int>(rng.UniformInt(0, 1)));
+      record.vdbms_kbps = rng.Uniform(0.1, 2000.0);
+      ids.push_back(manager_.Start(record, rng.Uniform(1.0, 100.0)));
+    }
+    for (size_t i = ids.size() - 1; i > 0; --i) {
+      std::swap(ids[i], ids[static_cast<size_t>(
+                            rng.UniformInt(0, static_cast<int64_t>(i)))]);
+    }
+    for (size_t i = 0; i < ids.size() / 2; ++i) {
+      if (rng.Bernoulli(0.5)) {
+        ASSERT_TRUE(manager_.Cancel(ids[i]).ok());
+      } else {
+        ASSERT_TRUE(manager_.Pause(ids[i]).ok());
+        if (rng.Bernoulli(0.5)) {
+          ASSERT_TRUE(manager_.Resume(ids[i]).ok());
+        }
+        ASSERT_TRUE(manager_.Cancel(ids[i]).ok());
+      }
+    }
+    simulator_.RunAll();  // the rest complete in expected-end order
+    EXPECT_EQ(manager_.outstanding(), 0);
+    EXPECT_EQ(manager_.vdbms_active_kbps(SiteId(0)), 0.0) << "seed " << seed;
+    EXPECT_EQ(manager_.vdbms_active_kbps(SiteId(1)), 0.0) << "seed " << seed;
+  }
 }
 
 // Interleavings through the facade: ChangeSessionQos against paused
