@@ -3,9 +3,9 @@
 // threads, swept over thread count. Each cell runs several times and
 // reports the median, min and max admitted/sec, so a difference between
 // two builds can be read against the run-to-run spread. The harness also
-// double-checks that the parallel-costing plan stream ranks plans
-// bit-identically to the serial enumerator (exits non-zero otherwise —
-// the CI smoke leg runs `bench_admission_scale --smoke`).
+// double-checks that the lazy plan stream ranks plans bit-identically to
+// the eager Generate + Rank oracle (exits non-zero otherwise — the CI
+// smoke leg runs `bench_admission_scale --smoke`).
 //
 // Unlike the simulation harnesses this one measures *wall-clock* time:
 // the simulator clock never advances, sessions are admitted and
@@ -16,11 +16,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/cost_evaluator.h"
+#include "core/cost_model.h"
 #include "core/system.h"
 #include "simcore/simulator.h"
 
@@ -113,43 +116,45 @@ SweepResult RunSweep(int threads, int ops_per_thread,
   return result;
 }
 
-// Serial vs parallel-costing ranking: both streams must yield the same
-// plans in the same order with bit-identical costs. Returns false (and
-// prints the first divergence) otherwise.
-bool CheckRankingEquivalence() {
-  auto explain = [](bool parallel) {
-    core::MediaDbSystem::Options options;
-    options.kind = core::SystemKind::kVdbmsQuasaq;
-    options.topology = net::Topology::Uniform(kSites);
-    options.seed = 11;
-    options.quality.generator.parallel_costing = parallel;
-    options.quality.generator.costing_threads = parallel ? 4 : 0;
-    sim::Simulator simulator;
-    core::MediaDbSystem system(&simulator, options);
-    query::QosRequirement qos;
-    Result<std::vector<core::QualityManager::RankedPlan>> plans =
-        system.quality_manager()->ExplainPlans(SiteId(0), LogicalOid(0), qos,
-                                               /*limit=*/64);
-    if (!plans.ok()) std::abort();
-    return *plans;
-  };
-  const std::vector<core::QualityManager::RankedPlan> serial =
-      explain(false);
-  const std::vector<core::QualityManager::RankedPlan> parallel =
-      explain(true);
-  if (serial.size() != parallel.size()) {
-    std::fprintf(stderr, "ranking divergence: %zu serial vs %zu parallel\n",
-                 serial.size(), parallel.size());
+// Stream vs oracle ranking: the first 64 plans ExplainPlans yields
+// must be the first 64 of Generate + Rank on the same system, with
+// bit-identical costs. Returns false (and prints the first divergence)
+// otherwise.
+bool CheckStreamMatchesOracle() {
+  constexpr size_t kLimit = 64;
+  core::MediaDbSystem::Options options;
+  options.kind = core::SystemKind::kVdbmsQuasaq;
+  options.topology = net::Topology::Uniform(kSites);
+  options.seed = 11;
+  sim::Simulator simulator;
+  core::MediaDbSystem system(&simulator, options);
+  core::QualityManager& planner = *system.quality_manager();
+  query::QosRequirement qos;
+  Result<std::vector<core::QualityManager::RankedPlan>> streamed =
+      planner.ExplainPlans(SiteId(0), LogicalOid(0), qos, kLimit);
+  Result<std::vector<core::Plan>> oracle =
+      planner.generator().Generate(SiteId(0), LogicalOid(0), qos);
+  if (!streamed.ok() || !oracle.ok()) std::abort();
+  std::unique_ptr<core::CostModel> model =
+      core::MakeCostModel(options.cost_model, options.seed);
+  core::RuntimeCostEvaluator evaluator(model.get());
+  evaluator.Rank(*oracle, system.pool());
+  const size_t expected = std::min(kLimit, oracle->size());
+  if (streamed->size() != expected) {
+    std::fprintf(stderr, "ranking divergence: %zu streamed vs %zu oracle\n",
+                 streamed->size(), expected);
     return false;
   }
-  for (size_t i = 0; i < serial.size(); ++i) {
-    if (serial[i].cost != parallel[i].cost ||
-        serial[i].plan.ToString() != parallel[i].plan.ToString()) {
+  for (size_t i = 0; i < expected; ++i) {
+    const core::QualityManager::RankedPlan& got = (*streamed)[i];
+    const core::Plan& want = (*oracle)[i];
+    const double want_cost = evaluator.EfficiencyCost(want, system.pool());
+    if (got.cost != want_cost || got.plan.ToString() != want.ToString()) {
       std::fprintf(stderr,
-                   "ranking divergence at rank %zu:\n  serial   %.17g %s\n"
-                   "  parallel %.17g %s\n",
-                   i, serial[i].cost, serial[i].plan.ToString().c_str(),
-                   parallel[i].cost, parallel[i].plan.ToString().c_str());
+                   "ranking divergence at rank %zu:\n  streamed %.17g %s\n"
+                   "  oracle   %.17g %s\n",
+                   i, got.cost, got.plan.ToString().c_str(), want_cost,
+                   want.ToString().c_str());
       return false;
     }
   }
@@ -225,8 +230,8 @@ int main(int argc, char** argv) {
               max_threads, scaling);
   json.Add("thread_scaling", scaling);
 
-  const bool ranking_ok = CheckRankingEquivalence();
-  std::printf("parallel-costing ranking identical to serial: %s\n",
+  const bool ranking_ok = CheckStreamMatchesOracle();
+  std::printf("plan stream ranking identical to Generate + Rank: %s\n",
               ranking_ok ? "yes" : "NO");
   json.Add("ranking_identical", ranking_ok ? 1.0 : 0.0);
 

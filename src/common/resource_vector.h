@@ -1,7 +1,9 @@
 #ifndef QUASAQ_COMMON_RESOURCE_VECTOR_H_
 #define QUASAQ_COMMON_RESOURCE_VECTOR_H_
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -31,6 +33,25 @@ inline constexpr int kNumResourceKinds = 5;
 /// Returns a short stable name, e.g. "cpu", "net", "disk", "mem",
 /// "membw".
 std::string_view ResourceKindName(ResourceKind kind);
+
+// Reservation ledgers (the resource pool, the DSRT CPU scheduler and
+// the VDBMS bitrate pins) book amounts as integer counts of 1e-6 of the
+// bucket's unit (a millionth of a core, of a KB/s, of a KB). Integer
+// usage makes the admission test U_i + r_i <= R_i exact and makes
+// acquire/release commute: the same double always converts to the same
+// count, so a release cancels its acquire in any order.
+inline constexpr double kLedgerUnitsPerUnit = 1e6;
+
+/// The ledger count for `amount`, rounded to nearest. The one way an
+/// amount enters a ledger.
+inline int64_t ToLedgerUnits(double amount) {
+  return std::llround(amount * kLedgerUnitsPerUnit);
+}
+
+/// The amount a ledger count stands for.
+inline double FromLedgerUnits(int64_t units) {
+  return static_cast<double>(units) / kLedgerUnitsPerUnit;
+}
 
 // Names one reservable resource instance: a kind at a site.
 struct BucketId {

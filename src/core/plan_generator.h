@@ -45,17 +45,6 @@ class PlanGenerator {
     // are skipped (the raw combinatorial space; ablation only — such
     // plans must not be executed).
     bool apply_static_pruning = true;
-    // Parallel plan costing: PlanStream expands and costs (replica,
-    // site) groups concurrently on a small worker pool instead of one
-    // group at a time. Yield order stays bit-identical to the serial
-    // walk — extra early expansions only turn admissible lower bounds
-    // into exact keys — but only when the cost model supports a sound
-    // lower bound (pure LRB, no gain function); stateful models fall
-    // back to the serial walk so their per-plan call order is preserved.
-    bool parallel_costing = false;
-    // Worker threads for parallel costing; 0 picks a small default from
-    // the hardware concurrency.
-    int costing_threads = 0;
     // Candidate transcode targets (defaults to the standard ladder).
     std::vector<media::AppQos> transcode_targets;
     // Cache-served plan variants (requires a cache view, see below):

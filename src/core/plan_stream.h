@@ -8,7 +8,6 @@
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/cost_evaluator.h"
 #include "core/plan.h"
 #include "core/plan_generator.h"
@@ -66,23 +65,12 @@ class PlanStream {
   /// search space of `content` under `qos` as seen from `query_site`
   /// and ranks it with its own copy of `evaluator`; costs are evaluated
   /// against `pool`'s usage at expansion time, so a stream must be
-  /// consumed before reservations move the pool.
-  ///
-  /// When `costing_pool` is non-null and the evaluator supports a sound
-  /// cost lower bound, group expansion + costing fans out over the pool
-  /// (see PlanGenerator::Options::parallel_costing): the top run of
-  /// unexpanded groups on the frontier is costed concurrently, one
-  /// group per worker, and merged back in frontier order. Yield order
-  /// is bit-identical to the serial walk — a plan is yielded only when
-  /// its exact key beats every remaining bound, and eagerly expanding a
-  /// group only replaces its bound with exact keys that are >= it.
-  /// Pruning statistics may count fewer pruned groups (the batch
-  /// expands groups the serial walk might never have touched).
+  /// consumed before reservations move the pool. Groups are expanded
+  /// one at a time on the calling thread, in frontier order.
   PlanStream(const PlanGenerator* generator, RuntimeCostEvaluator evaluator,
              const res::ResourcePool* pool, SiteId query_site,
              LogicalOid content, const query::QosRequirement& qos,
-             SimTime* metadata_latency = nullptr,
-             ThreadPool* costing_pool = nullptr);
+             SimTime* metadata_latency = nullptr);
 
   /// Construction failure (kNotFound when no replica exists). A failed
   /// stream yields nothing.
@@ -143,26 +131,20 @@ class PlanStream {
     }
   };
 
-  // Pushes every group's lower-bound entry onto the frontier and
-  // refreshes the parallel-costing decision for the current evaluator
-  // (a gain function disables the bound, and with it the fan-out).
+  // Pushes every group's lower-bound entry onto the frontier (bound 0
+  // when the current evaluator has no sound bound, e.g. a gain function).
   void SeedFrontier();
   void ExpandGroup(size_t group_index);
-  // Expands and costs `batch` concurrently on costing_pool_, then
-  // merges the results in batch (= frontier pop) order.
-  void ExpandGroupBatch(const std::vector<size_t>& batch);
 
   const PlanGenerator* generator_;
   RuntimeCostEvaluator evaluator_;
   const res::ResourcePool* pool_;
-  ThreadPool* costing_pool_;
   query::QosRequirement qos_;
   Status status_;
   std::vector<PlanGenerator::GroupSeed> groups_;
   std::vector<Ranked> plans_;  // materialized plans, stable slots
   std::priority_queue<Entry, std::vector<Entry>, EntryAfter> frontier_;
   Stats stats_;
-  bool parallel_ = false;  // recomputed by SeedFrontier
 };
 
 }  // namespace quasaq::core

@@ -1,10 +1,8 @@
 #include "core/quality_manager.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <optional>
-#include <thread>
 
 namespace quasaq::core {
 
@@ -19,16 +17,6 @@ QualityManager::QualityManager(meta::DistributedMetadataEngine* metadata,
       options_(options) {
   assert(qos_api_ != nullptr);
   assert(cost_model_ != nullptr);
-  if (options_.generator.parallel_costing) {
-    int threads = options_.generator.costing_threads;
-    if (threads <= 0) {
-      // A small pool: group expansion is short work and the merge is
-      // serial, so a handful of workers saturates the win.
-      threads = static_cast<int>(std::thread::hardware_concurrency());
-    }
-    threads = std::clamp(threads, 1, 8);
-    costing_pool_ = std::make_unique<ThreadPool>(threads);
-  }
 }
 
 QualityManager::Stats QualityManager::stats() const {
@@ -222,8 +210,7 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
   // Reset() it over the already-enumerated groups instead of
   // re-fetching metadata and re-seeding per round.
   PlanStream stream(&generator_, EvaluatorFor(qos, context),
-                    &qos_api_->pool(), query_site, content, qos, nullptr,
-                    costing_pool());
+                    &qos_api_->pool(), query_site, content, qos);
   bool had_plans = false;
   Result<Admitted> attempt =
       stream.status().ok() ? TryAdmitWithStream(stream, &had_plans, context)
@@ -294,8 +281,7 @@ Result<std::vector<QualityManager::RankedPlan>> QualityManager::ExplainPlans(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
     size_t limit, AdmissionContext context) {
   PlanStream stream(&generator_, EvaluatorFor(qos, context),
-                    &qos_api_->pool(), query_site, content, qos, nullptr,
-                    costing_pool());
+                    &qos_api_->pool(), query_site, content, qos);
   if (!stream.status().ok()) return stream.status();
   std::vector<RankedPlan> ranked;
   while (ranked.size() < limit) {
@@ -377,8 +363,7 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateImpl(
   };
 
   PlanStream stream(&generator_, EvaluatorFor(qos, context),
-                    &qos_api_->pool(), query_site, content, qos, nullptr,
-                    costing_pool());
+                    &qos_api_->pool(), query_site, content, qos);
   if (!stream.status().ok()) return stream.status();
   bool had_plans = false;
   Result<Admitted> result = walk(stream, &had_plans);

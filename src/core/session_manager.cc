@@ -1,7 +1,6 @@
 #include "core/session_manager.h"
 
 #include <cassert>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -68,7 +67,7 @@ SessionId SessionManager::Start(Record record, double duration_seconds) {
     assert(vector != nullptr);
     record.reserved_vector = *vector;
   }
-  record.vdbms_pin = std::llround(record.vdbms_kbps * kPinUnitsPerKbps);
+  record.vdbms_pin = ToLedgerUnits(record.vdbms_kbps);
   MutexLock lock(&mu_);
   const SimTime now = simulator_->Now();
   record.start = now;
@@ -105,9 +104,7 @@ std::optional<SessionManager::Record> SessionManager::Snapshot(
 double SessionManager::vdbms_active_kbps(SiteId site) const {
   MutexLock lock(&mu_);
   auto it = vdbms_site_pins_.find(site);
-  return it == vdbms_site_pins_.end()
-             ? 0.0
-             : static_cast<double>(it->second) / kPinUnitsPerKbps;
+  return it == vdbms_site_pins_.end() ? 0.0 : FromLedgerUnits(it->second);
 }
 
 int SessionManager::outstanding() const {

@@ -20,10 +20,12 @@
 // timed completion events, expected-end times, reservation handles and
 // their resource vectors (for re-admission on resume), pause/resume
 // state, and the per-site bitrate pinning the plain-VDBMS configuration
-// uses in place of reservations. The facade decides *what* to deliver
-// (per system kind) and hands the resulting record to this manager,
-// which alone decides *when* resources are released: exactly once, at
-// completion, cancellation, or pause.
+// uses in place of reservations (counted in the same integer ledger
+// units as the resource pool, so pins unwind to exactly zero). The
+// facade decides *what* to deliver (per system kind) and hands the
+// resulting record to this manager, which alone decides *when*
+// resources are released: exactly once, at completion, cancellation,
+// or pause.
 //
 // Thread-safe: one annotated Mutex (mu_) guards the whole table, so
 // concurrent lifecycle calls serialize and the release-exactly-once
@@ -47,8 +49,9 @@ class SessionManager {
     SimTime start = 0;
     res::ReservationId reservation = res::kInvalidReservationId;
     double vdbms_kbps = 0.0;  // bitrate pinned on `site` (VDBMS only)
-    // `vdbms_kbps` in integer pin units, fixed by Start: unpinning
-    // subtracts exactly what pinning added, in any order.
+    // `vdbms_kbps` in ledger units (common/resource_vector.h), fixed by
+    // Start: unpinning subtracts exactly what pinning added, in any
+    // order.
     int64_t vdbms_pin = 0;
     SiteId site;
     // Pause/resume bookkeeping.
@@ -135,9 +138,6 @@ class SessionManager {
     obs::Gauge* active = nullptr;
     obs::Gauge* peak = nullptr;
   };
-
-  // Fixed-point unit of VDBMS pins: 1 / kPinUnitsPerKbps KB/s.
-  static constexpr double kPinUnitsPerKbps = 1e6;
 
   // Samples the active-session gauge (and bumps the peak). Start and
   // Cancel sample; Complete only adjusts the count.

@@ -5,19 +5,14 @@
 
 namespace quasaq::res {
 
-void CompositeQosApi::AccountAttempt(const ResourceVector& demand,
-                                     bool admitted) {
+void CompositeQosApi::AccountAttempt(
+    const ResourceVector& demand, const std::vector<BucketId>& overflowing) {
   for (const ResourceVector::Entry& e : demand.entries()) {
-    KindStats& kind = kind_stats_[static_cast<size_t>(e.bucket.kind)];
-    ++kind.requests;
-    if (!admitted) {
-      // Charge the denial to every kind whose bucket would overflow.
-      double capacity = pool_->Capacity(e.bucket);
-      if (capacity > 0.0 &&
-          pool_->Used(e.bucket) + e.amount > capacity * (1.0 + 1e-9)) {
-        ++kind.denials;
-      }
-    }
+    ++kind_stats_[static_cast<size_t>(e.bucket.kind)].requests;
+  }
+  // A denial is charged to every kind whose bucket would overflow.
+  for (const BucketId& bucket : overflowing) {
+    ++kind_stats_[static_cast<size_t>(bucket.kind)].denials;
   }
 }
 
@@ -74,8 +69,9 @@ bool CompositeQosApi::Admissible(const ResourceVector& demand) const {
 
 Result<ReservationId> CompositeQosApi::Reserve(const ResourceVector& demand) {
   MutexLock lock(&mu_);
-  Status status = pool_->Acquire(demand);
-  AccountAttempt(demand, status.ok());
+  std::vector<BucketId> overflowing;
+  Status status = pool_->Acquire(demand, &overflowing);
+  AccountAttempt(demand, overflowing);
   if (!status.ok()) {
     ++stats_.rejected;
     if (metrics_.reserve_rejected != nullptr) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "common/resource_vector.h"
 #include "common/status.h"
@@ -108,8 +109,10 @@ class CompositeQosApi {
     obs::Counter* renegotiate_rejected = nullptr;
   };
 
-  // Charges per-kind request/denial accounting for one attempt.
-  void AccountAttempt(const ResourceVector& demand, bool admitted)
+  // Charges per-kind request/denial accounting for one attempt;
+  // `overflowing` is what the pool's Acquire reported as not fitting.
+  void AccountAttempt(const ResourceVector& demand,
+                      const std::vector<BucketId>& overflowing)
       QUASAQ_REQUIRES(mu_);
 
   ResourcePool* pool_;  // set at construction, never reassigned

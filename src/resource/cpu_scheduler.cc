@@ -95,11 +95,12 @@ Status ReservationCpuScheduler::AddReservedTask(CpuTask* task,
   if (cpu_fraction <= 0.0) {
     return Status::InvalidArgument("non-positive CPU reservation");
   }
-  if (reserved_ + cpu_fraction > reservable_fraction() + 1e-12) {
+  const int64_t units = ToLedgerUnits(cpu_fraction);
+  if (reserved_ + units > ToLedgerUnits(reservable_fraction())) {
     return Status::ResourceExhausted("CPU reservation capacity exceeded");
   }
-  reserved_ += cpu_fraction;
-  tasks_.push_back(TaskState{task, cpu_fraction, false});
+  reserved_ += units;
+  tasks_.push_back(TaskState{task, units, false});
   return Status::Ok();
 }
 
@@ -115,8 +116,7 @@ void ReservationCpuScheduler::NotifyWorkArrived(CpuTask* task) {
 void ReservationCpuScheduler::RemoveTask(CpuTask* task) {
   for (auto it = tasks_.begin(); it != tasks_.end(); ++it) {
     if (it->task == task) {
-      reserved_ -= it->fraction;
-      if (reserved_ < 0.0) reserved_ = 0.0;
+      reserved_ -= it->units;
       tasks_.erase(it);
       return;
     }

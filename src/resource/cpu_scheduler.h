@@ -6,6 +6,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/resource_vector.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "common/status.h"
@@ -96,8 +97,10 @@ class TimeSharingCpuScheduler : public CpuScheduler {
 
 // Reservation-based CPU (the "QuaSAQ / DSRT" CPU). Each admitted task
 // reserves a CPU fraction; admission keeps the sum within capacity net
-// of the scheduler's own overhead. Admitted work is served eagerly with
-// a small dispatch latency.
+// of the scheduler's own overhead. Reservations are booked in integer
+// ledger units (common/resource_vector.h), so admission is an exact
+// test and removing every task returns the total to exactly zero.
+// Admitted work is served eagerly with a small dispatch latency.
 class ReservationCpuScheduler : public CpuScheduler {
  public:
   struct Options {
@@ -120,7 +123,7 @@ class ReservationCpuScheduler : public CpuScheduler {
   void NotifyWorkArrived(CpuTask* task) override;
   void RemoveTask(CpuTask* task) override;
 
-  double reserved_fraction() const { return reserved_; }
+  double reserved_fraction() const { return FromLedgerUnits(reserved_); }
   double reservable_fraction() const {
     return options_.reservable_fraction - options_.scheduler_overhead_fraction;
   }
@@ -128,7 +131,7 @@ class ReservationCpuScheduler : public CpuScheduler {
  private:
   struct TaskState {
     CpuTask* task = nullptr;
-    double fraction = 0.0;
+    int64_t units = 0;  // the reserved fraction in ledger units
     bool busy = false;
   };
 
@@ -138,7 +141,7 @@ class ReservationCpuScheduler : public CpuScheduler {
   Options options_;
   Rng rng_;
   std::vector<TaskState> tasks_;
-  double reserved_ = 0.0;
+  int64_t reserved_ = 0;  // ledger units
 };
 
 // Helper CpuTask holding a FIFO of work items, each with a completion

@@ -5,19 +5,17 @@
 
 namespace quasaq::res {
 
-namespace {
-// Tolerance for floating-point accumulation when checking capacity.
-constexpr double kSlack = 1e-9;
-}  // namespace
-
 Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
-  if (capacity <= 0.0) {
+  const int64_t units = ToLedgerUnits(capacity);
+  if (units <= 0) {
     return Status::InvalidArgument("bucket " + BucketIdToString(bucket) +
-                                   " declared with non-positive capacity");
+                                   " declared with less than one ledger "
+                                   "unit of capacity");
   }
   MutexLock lock(&mu_);
   auto [it, inserted] = buckets_.try_emplace(bucket);
-  it->second.capacity = capacity;
+  it->second.capacity = units;
+  it->second.capacity_value = FromLedgerUnits(units);
   if (inserted) {
     ordered_buckets_.insert(std::lower_bound(ordered_buckets_.begin(),
                                              ordered_buckets_.end(), bucket),
@@ -30,9 +28,7 @@ double ResourcePool::OverlayMaxFill(const ResourceVector& demand) const {
   MutexLock lock(&mu_);
   double max_fill = 0.0;
   for (const auto& [bucket, state] : buckets_) {
-    if (state.capacity <= 0.0) continue;
-    double fill = (state.used + demand.Get(bucket)) / state.capacity;
-    max_fill = std::max(max_fill, fill);
+    max_fill = std::max(max_fill, state.Fill(demand.Get(bucket)));
   }
   return max_fill;
 }
@@ -42,8 +38,7 @@ double ResourcePool::OverlaySquaredFill(const ResourceVector& demand) const {
   double total = 0.0;
   for (const BucketId& bucket : ordered_buckets_) {
     const BucketState& state = buckets_.find(bucket)->second;
-    if (state.capacity <= 0.0) continue;
-    double fill = (state.used + demand.Get(bucket)) / state.capacity;
+    double fill = state.Fill(demand.Get(bucket));
     total += fill * fill;
   }
   return total;
@@ -54,8 +49,8 @@ double ResourcePool::FractionalDemand(const ResourceVector& demand) const {
   double total = 0.0;
   for (const ResourceVector::Entry& e : demand.entries()) {
     auto it = buckets_.find(e.bucket);
-    if (it == buckets_.end() || it->second.capacity <= 0.0) continue;
-    total += e.amount / it->second.capacity;
+    if (it == buckets_.end()) continue;
+    total += e.amount / it->second.capacity_value;
   }
   return total;
 }
@@ -67,9 +62,7 @@ std::vector<std::pair<BucketId, double>> ResourcePool::UtilizationSnapshot()
   out.reserve(ordered_buckets_.size());
   for (const BucketId& bucket : ordered_buckets_) {
     const BucketState& state = buckets_.find(bucket)->second;
-    out.emplace_back(bucket, state.capacity > 0.0
-                                 ? state.used / state.capacity
-                                 : 0.0);
+    out.emplace_back(bucket, state.Fill(0.0));
   }
   return out;
 }
@@ -82,39 +75,44 @@ bool ResourcePool::HasBucket(const BucketId& bucket) const {
 double ResourcePool::Capacity(const BucketId& bucket) const {
   MutexLock lock(&mu_);
   auto it = buckets_.find(bucket);
-  return it == buckets_.end() ? 0.0 : it->second.capacity;
+  return it == buckets_.end() ? 0.0 : it->second.capacity_value;
 }
 
 double ResourcePool::Used(const BucketId& bucket) const {
   MutexLock lock(&mu_);
   auto it = buckets_.find(bucket);
-  return it == buckets_.end() ? 0.0 : it->second.used;
+  return it == buckets_.end() ? 0.0 : it->second.used_value;
 }
 
 double ResourcePool::Utilization(const BucketId& bucket) const {
   MutexLock lock(&mu_);
   auto it = buckets_.find(bucket);
-  if (it == buckets_.end() || it->second.capacity <= 0.0) return 0.0;
-  return it->second.used / it->second.capacity;
+  if (it == buckets_.end()) return 0.0;
+  return it->second.Fill(0.0);
 }
 
-bool ResourcePool::FitsLocked(const ResourceVector& demand) const {
+bool ResourcePool::FitsLocked(const ResourceVector& demand,
+                              std::vector<BucketId>* overflowing) const {
+  bool fits = true;
   for (const ResourceVector::Entry& e : demand.entries()) {
     auto it = buckets_.find(e.bucket);
     if (it == buckets_.end()) return false;
-    if (it->second.used + e.amount > it->second.capacity * (1.0 + kSlack)) {
-      return false;
+    if (it->second.used + ToLedgerUnits(e.amount) > it->second.capacity) {
+      if (overflowing == nullptr) return false;
+      overflowing->push_back(e.bucket);
+      fits = false;
     }
   }
-  return true;
+  return fits;
 }
 
 bool ResourcePool::Fits(const ResourceVector& demand) const {
   MutexLock lock(&mu_);
-  return FitsLocked(demand);
+  return FitsLocked(demand, nullptr);
 }
 
-Status ResourcePool::Acquire(const ResourceVector& demand) {
+Status ResourcePool::Acquire(const ResourceVector& demand,
+                             std::vector<BucketId>* overflowing) {
   MutexLock lock(&mu_);
   for (const ResourceVector::Entry& e : demand.entries()) {
     if (buckets_.count(e.bucket) == 0) {
@@ -122,11 +120,11 @@ Status ResourcePool::Acquire(const ResourceVector& demand) {
                               BucketIdToString(e.bucket));
     }
   }
-  if (!FitsLocked(demand)) {
+  if (!FitsLocked(demand, overflowing)) {
     return Status::ResourceExhausted("bucket would overflow");
   }
   for (const ResourceVector::Entry& e : demand.entries()) {
-    buckets_[e.bucket].used += e.amount;
+    buckets_[e.bucket].AddUsed(ToLedgerUnits(e.amount));
   }
   return Status::Ok();
 }
@@ -141,17 +139,14 @@ Status ResourcePool::Release(const ResourceVector& demand) {
                                           BucketIdToString(e.bucket));
       continue;
     }
-    if (e.amount > it->second.used + it->second.capacity * kSlack) {
+    int64_t units = ToLedgerUnits(e.amount);
+    if (units > it->second.used) {
       status = Status::FailedPrecondition(
           "over-release on bucket " + BucketIdToString(e.bucket) +
           " (usage clamped to zero)");
+      units = it->second.used;
     }
-    it->second.used = std::max(0.0, it->second.used - e.amount);
-    // Snap accumulated floating-point residue to a clean zero; real
-    // reservations are many orders of magnitude above this.
-    if (it->second.used < it->second.capacity * 1e-9) {
-      it->second.used = 0.0;
-    }
+    it->second.AddUsed(-units);
   }
   return status;
 }
@@ -169,8 +164,7 @@ double ResourcePool::MaxUtilization() const {
   MutexLock lock(&mu_);
   double max_util = 0.0;
   for (const auto& [id, state] : buckets_) {
-    if (state.capacity <= 0.0) continue;
-    max_util = std::max(max_util, state.used / state.capacity);
+    max_util = std::max(max_util, state.Fill(0.0));
   }
   return max_util;
 }
@@ -179,10 +173,8 @@ std::string ResourcePool::DebugString() const {
   MutexLock lock(&mu_);
   std::string out;
   for (const BucketId& id : BucketsLocked()) {
-    auto it = buckets_.find(id);
-    double util = it->second.capacity > 0.0
-                      ? it->second.used / it->second.capacity
-                      : 0.0;
+    const BucketState& state = buckets_.find(id)->second;
+    double util = state.Fill(0.0);
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%s=%.2f ",
                   BucketIdToString(id).c_str(), util);

@@ -1,6 +1,7 @@
 #ifndef QUASAQ_RESOURCE_POOL_H_
 #define QUASAQ_RESOURCE_POOL_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -16,6 +17,12 @@
 // is the percentage of resource i being used", paper §3.4) and the
 // state admission control mutates.
 //
+// The ledger is exact: capacity and usage are integer ledger units
+// (common/resource_vector.h), every amount is converted by
+// ToLedgerUnits on the way in, and the admission test compares
+// integers. Acquire and Release convert the same amount the same way,
+// so they cancel exactly in any order and a drained pool reads 0.
+//
 // Thread-safe: one mutex guards the whole bucket table, so concurrent
 // AdmitQuery calls cost plans against a consistent usage snapshot and
 // Acquire stays all-or-nothing under contention. ResourcePool::mu_ is a
@@ -25,10 +32,10 @@ namespace quasaq::res {
 
 class ResourcePool {
  public:
-  /// Declares a bucket with capacity `capacity` (> 0). Re-declaring an
+  /// Declares a bucket with capacity `capacity`. Re-declaring an
   /// existing bucket resets its capacity but keeps its usage. Fails
-  /// with kInvalidArgument on a non-positive capacity (nothing is
-  /// declared).
+  /// with kInvalidArgument (nothing is declared) when the capacity
+  /// rounds to less than one ledger unit.
   Status DeclareBucket(const BucketId& bucket, double capacity)
       QUASAQ_EXCLUDES(mu_);
 
@@ -46,22 +53,26 @@ class ResourcePool {
   bool Fits(const ResourceVector& demand) const QUASAQ_EXCLUDES(mu_);
 
   /// Atomically adds `demand` to usage. Fails with kResourceExhausted
-  /// (nothing is changed) when any bucket would overflow, and
-  /// kNotFound when `demand` touches an undeclared bucket.
-  Status Acquire(const ResourceVector& demand) QUASAQ_EXCLUDES(mu_);
+  /// (nothing is changed) when any bucket would overflow, and then
+  /// appends every overflowing bucket to `overflowing` when it is
+  /// non-null; fails with kNotFound when `demand` touches an undeclared
+  /// bucket.
+  Status Acquire(const ResourceVector& demand,
+                 std::vector<BucketId>* overflowing = nullptr)
+      QUASAQ_EXCLUDES(mu_);
 
-  /// Subtracts `demand` from usage. Usage never goes negative: an
-  /// over-release is clamped to zero and reported as
-  /// kFailedPrecondition (as is a release touching an undeclared
-  /// bucket) so accounting bugs surface in release builds instead of
-  /// silently corrupting the usage vectors the cost model reads.
+  /// Subtracts `demand` from usage. Releasing more than a bucket holds
+  /// clamps it to zero and reports kFailedPrecondition (as does a
+  /// release touching an undeclared bucket), so accounting bugs surface
+  /// in release builds instead of silently corrupting the usage vectors
+  /// the cost model reads.
   Status Release(const ResourceVector& demand) QUASAQ_EXCLUDES(mu_);
 
   /// All declared buckets in a stable order (sorted by id).
   std::vector<BucketId> Buckets() const QUASAQ_EXCLUDES(mu_);
 
   /// Overlay fill — the LRB inner loop: max over every declared bucket
-  /// of (U_i + demand_i) / R_i, skipping non-positive capacities. One
+  /// of (U_i + demand_i) / R_i. One
   /// lock acquisition for the whole scan; calling Buckets() plus
   /// Used()/Capacity() per bucket computes the identical value (max is
   /// order-independent over the same per-bucket quotients) but costs
@@ -72,12 +83,12 @@ class ResourcePool {
 
   /// Overlay quadratic fill: sum over declared buckets — in sorted id
   /// order, so the floating-point accumulation is reproducible — of
-  /// ((U_i + demand_i) / R_i)^2, skipping non-positive capacities.
+  /// ((U_i + demand_i) / R_i)^2.
   double OverlaySquaredFill(const ResourceVector& demand) const
       QUASAQ_EXCLUDES(mu_);
 
   /// Sum over `demand`'s entries (in entry order) of amount / capacity;
-  /// undeclared or non-positive-capacity buckets contribute nothing.
+  /// undeclared buckets contribute nothing.
   double FractionalDemand(const ResourceVector& demand) const
       QUASAQ_EXCLUDES(mu_);
 
@@ -93,13 +104,31 @@ class ResourcePool {
   std::string DebugString() const QUASAQ_EXCLUDES(mu_);
 
  private:
+  // Capacity and usage in ledger units (capacity > 0). The doubles are
+  // the same two values in the bucket's unit, re-derived from the
+  // integers on every change, so an LRB fill costs one division.
   struct BucketState {
-    double capacity = 0.0;
-    double used = 0.0;
+    int64_t capacity = 0;
+    int64_t used = 0;
+    double capacity_value = 0.0;
+    double used_value = 0.0;
+
+    void AddUsed(int64_t units) {
+      used += units;
+      used_value = FromLedgerUnits(used);
+    }
+    // (U_i + extra) / R_i: a double quotient of the exact usage, with
+    // `extra` (a plan's demand) overlaid unrounded.
+    double Fill(double extra) const {
+      return (used_value + extra) / capacity_value;
+    }
   };
 
-  // Lock-assuming bodies of the public entry points above.
-  bool FitsLocked(const ResourceVector& demand) const QUASAQ_REQUIRES(mu_);
+  // Lock-assuming bodies of the public entry points above. FitsLocked
+  // stops at the first misfit unless `overflowing` collects them all.
+  bool FitsLocked(const ResourceVector& demand,
+                  std::vector<BucketId>* overflowing) const
+      QUASAQ_REQUIRES(mu_);
   std::vector<BucketId> BucketsLocked() const QUASAQ_REQUIRES(mu_);
 
   mutable Mutex mu_;

@@ -99,7 +99,7 @@ TEST_F(CompositeQosApiTest, FailedRenegotiationKeepsOldReservation) {
   // b cannot grow to 0.6 (0.5 + 0.6 > 1.0); old 0.4 must survive.
   EXPECT_EQ(api_.Renegotiate(*b, Demand(0.6, 0.0)).code(),
             StatusCode::kResourceExhausted);
-  EXPECT_NEAR(pool_.Used(Cpu(0)), 0.9, 1e-12);
+  EXPECT_EQ(pool_.Used(Cpu(0)), 0.9);
   EXPECT_EQ(api_.stats().renegotiation_failures, 1u);
   const ResourceVector* vector = api_.Find(*b);
   ASSERT_NE(vector, nullptr);
@@ -127,6 +127,21 @@ TEST_F(CompositeQosApiTest, KindStatsIdentifyTheBottleneck) {
   std::string report = api_.BottleneckReport();
   EXPECT_NE(report.find("net"), std::string::npos) << report;
   EXPECT_NE(report.find("2 of 2"), std::string::npos) << report;
+}
+
+TEST_F(CompositeQosApiTest, OneUnitPastCapacityIsDeniedOnlyOnItsKind) {
+  ASSERT_TRUE(api_.Reserve(Demand(0.4, 60.0)).ok());
+  // One ledger unit (1e-6 KB/s) more than the net bucket has left.
+  Result<ReservationId> over = api_.Reserve(Demand(0.6, 40.0 + 1e-6));
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(api_.kind_stats(ResourceKind::kNetworkBandwidth).denials, 1u);
+  EXPECT_EQ(api_.kind_stats(ResourceKind::kCpu).denials, 0u);
+  // Exactly filling both buckets is admitted and charges no denial.
+  ASSERT_TRUE(api_.Reserve(Demand(0.6, 40.0)).ok());
+  EXPECT_EQ(pool_.Utilization(Cpu(0)), 1.0);
+  EXPECT_EQ(pool_.Utilization(Net(0)), 1.0);
+  EXPECT_EQ(api_.kind_stats(ResourceKind::kNetworkBandwidth).denials, 1u);
+  EXPECT_EQ(api_.kind_stats(ResourceKind::kCpu).denials, 0u);
 }
 
 TEST_F(CompositeQosApiTest, NoDenialsMeansEmptyReport) {

@@ -1,8 +1,12 @@
 #include "resource/cpu_scheduler.h"
 
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace quasaq::res {
 namespace {
@@ -149,7 +153,7 @@ TEST(ReservationTest, AdmissionEnforcesCapacity) {
   // 0.5 + 0.3 + 0.1 > 0.9 - 0.1 reservable.
   EXPECT_EQ(scheduler.AddReservedTask(&c, 0.1).code(),
             StatusCode::kResourceExhausted);
-  EXPECT_NEAR(scheduler.reserved_fraction(), 0.8, 1e-12);
+  EXPECT_EQ(scheduler.reserved_fraction(), 0.8);
 }
 
 TEST(ReservationTest, RejectsNonPositiveReservation) {
@@ -217,9 +221,42 @@ TEST(ReservationTest, RemoveTaskFreesReservation) {
   {
     WorkQueueTask task(&scheduler);
     ASSERT_TRUE(scheduler.AddReservedTask(&task, 0.5).ok());
-    EXPECT_NEAR(scheduler.reserved_fraction(), 0.5, 1e-12);
+    EXPECT_EQ(scheduler.reserved_fraction(), 0.5);
   }
-  EXPECT_NEAR(scheduler.reserved_fraction(), 0.0, 1e-12);
+  EXPECT_EQ(scheduler.reserved_fraction(), 0.0);
+}
+
+// Reservations added and removed in random order always drain to
+// exactly zero: every task returns the ledger units it took.
+TEST(ReservationTest, RandomAddRemoveDrainsToExactlyZero) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    sim::Simulator simulator;
+    ReservationCpuScheduler scheduler(&simulator,
+                                      ReservationCpuScheduler::Options());
+    Rng rng(seed);
+    std::vector<std::unique_ptr<WorkQueueTask>> tasks;
+    // Destroying a task removes it from the scheduler.
+    auto remove_random = [&] {
+      const int64_t victim =
+          rng.UniformInt(0, static_cast<int64_t>(tasks.size()) - 1);
+      tasks.erase(tasks.begin() + static_cast<std::ptrdiff_t>(victim));
+    };
+    for (int step = 0; step < 200; ++step) {
+      if (!tasks.empty() && rng.Bernoulli(0.45)) {
+        remove_random();
+        continue;
+      }
+      auto task = std::make_unique<WorkQueueTask>(&scheduler);
+      if (scheduler.AddReservedTask(task.get(), rng.Uniform(0.001, 0.2))
+              .ok()) {
+        tasks.push_back(std::move(task));
+      }
+      EXPECT_LE(scheduler.reserved_fraction(),
+                scheduler.reservable_fraction());
+    }
+    while (!tasks.empty()) remove_random();
+    EXPECT_EQ(scheduler.reserved_fraction(), 0.0) << "seed " << seed;
+  }
 }
 
 TEST(ReservationTest, DispatchLatencyIsBounded) {

@@ -1,5 +1,7 @@
 #include "query/parser.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 namespace quasaq::query {
@@ -134,6 +136,13 @@ struct BadQueryCase {
   const char* text;
   const char* message_fragment;
 };
+
+// Prints a case as its name, so the parameter gtest appends to each
+// test's listed name is stable across builds (the default is a byte
+// dump of the three pointers).
+void PrintTo(const BadQueryCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
 
 class ParserErrorTest : public ::testing::TestWithParam<BadQueryCase> {};
 

@@ -71,7 +71,18 @@ TEST(ResourcePoolTest, ExactFillIsAccepted) {
   ResourceVector demand;
   demand.Add(Cpu(0), 1.0);
   EXPECT_TRUE(pool.Acquire(demand).ok());
-  EXPECT_NEAR(pool.Utilization(Cpu(0)), 1.0, 1e-12);
+  EXPECT_EQ(pool.Utilization(Cpu(0)), 1.0);
+}
+
+TEST(ResourcePoolTest, CapacityBelowOneLedgerUnitIsInvalid) {
+  ResourcePool pool;
+  // 4e-7 rounds to zero ledger units (one unit is 1e-6).
+  EXPECT_EQ(pool.DeclareBucket(Cpu(0), 4e-7).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.DeclareBucket(Cpu(0), 0.0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(pool.HasBucket(Cpu(0)));
+  EXPECT_TRUE(pool.DeclareBucket(Cpu(0), 1e-6).ok());
 }
 
 TEST(ResourcePoolTest, ReleaseRestoresCapacity) {
@@ -104,7 +115,7 @@ TEST(ResourcePoolTest, RepeatedAcquireAccumulates) {
   ASSERT_TRUE(pool.Acquire(demand).ok());
   ASSERT_TRUE(pool.Acquire(demand).ok());
   EXPECT_EQ(pool.Acquire(demand).code(), StatusCode::kResourceExhausted);
-  EXPECT_NEAR(pool.Utilization(Cpu(0)), 0.8, 1e-12);
+  EXPECT_EQ(pool.Utilization(Cpu(0)), 0.8);
 }
 
 TEST(ResourcePoolTest, BucketsReturnsSortedIds) {
@@ -127,7 +138,7 @@ TEST(ResourcePoolTest, MaxUtilizationTracksHottestBucket) {
   demand.Add(Cpu(0), 0.2);
   demand.Add(Net(0), 70.0);
   ASSERT_TRUE(pool.Acquire(demand).ok());
-  EXPECT_NEAR(pool.MaxUtilization(), 0.7, 1e-12);
+  EXPECT_EQ(pool.MaxUtilization(), 0.7);
 }
 
 TEST(ResourcePoolTest, DebugStringListsBuckets) {

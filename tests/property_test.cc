@@ -1,6 +1,9 @@
 // Property-based suites: invariants checked across randomized or swept
 // parameter spaces (TEST_P / INSTANTIATE_TEST_SUITE_P).
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -84,11 +87,65 @@ TEST_P(PoolPropertyTest, AcquireReleaseSequencesBalance) {
       demand.Add(bucket, rng.Uniform(0.0, 2.0));
       if (pool.Acquire(demand).ok()) held.push_back(demand);
     }
-    EXPECT_LE(pool.Used(bucket), pool.Capacity(bucket) + 1e-9);
-    EXPECT_GE(pool.Used(bucket), -1e-9);
+    EXPECT_LE(pool.Used(bucket), pool.Capacity(bucket));
+    EXPECT_GE(pool.Used(bucket), 0.0);
   }
   for (const ResourceVector& demand : held) ASSERT_TRUE(pool.Release(demand).ok());
-  EXPECT_NEAR(pool.Used(bucket), 0.0, 1e-6);
+  EXPECT_EQ(pool.Used(bucket), 0.0);
+}
+
+template <typename T>
+void Shuffle(std::vector<T>& items, Rng& rng) {
+  for (size_t i = items.size(); i > 1; --i) {
+    std::swap(items[i - 1],
+              items[static_cast<size_t>(
+                  rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
+  }
+}
+
+// Two pools take the same random reservations, then release the same
+// random subset in two different orders: usage must agree bit for bit,
+// and releasing the rest drains both to exactly zero.
+TEST_P(PoolPropertyTest, ReleaseOrderDoesNotChangeUsage) {
+  Rng rng(GetParam());
+  const std::vector<BucketId> buckets = {
+      {SiteId(0), ResourceKind::kCpu},
+      {SiteId(0), ResourceKind::kNetworkBandwidth},
+      {SiteId(1), ResourceKind::kDiskBandwidth}};
+  res::ResourcePool a;
+  res::ResourcePool b;
+  for (const BucketId& bucket : buckets) {
+    ASSERT_TRUE(a.DeclareBucket(bucket, 1e6).ok());
+    ASSERT_TRUE(b.DeclareBucket(bucket, 1e6).ok());
+  }
+  std::vector<ResourceVector> held;
+  for (int i = 0; i < 200; ++i) {
+    ResourceVector demand;
+    for (const BucketId& bucket : buckets) {
+      if (rng.Bernoulli(0.7)) demand.Add(bucket, rng.Uniform(0.0, 100.0));
+    }
+    ASSERT_TRUE(a.Acquire(demand).ok());
+    ASSERT_TRUE(b.Acquire(demand).ok());
+    held.push_back(demand);
+  }
+  Shuffle(held, rng);
+  const size_t released = held.size() / 2;
+  std::vector<ResourceVector> order_a(held.begin(), held.begin() + released);
+  std::vector<ResourceVector> order_b = order_a;
+  Shuffle(order_b, rng);
+  for (const ResourceVector& demand : order_a) ASSERT_TRUE(a.Release(demand).ok());
+  for (const ResourceVector& demand : order_b) ASSERT_TRUE(b.Release(demand).ok());
+  for (const BucketId& bucket : buckets) {
+    EXPECT_EQ(a.Used(bucket), b.Used(bucket)) << BucketIdToString(bucket);
+  }
+  for (size_t i = released; i < held.size(); ++i) {
+    ASSERT_TRUE(a.Release(held[i]).ok());
+    ASSERT_TRUE(b.Release(held[i]).ok());
+  }
+  for (const BucketId& bucket : buckets) {
+    EXPECT_EQ(a.Used(bucket), 0.0) << BucketIdToString(bucket);
+    EXPECT_EQ(b.Used(bucket), 0.0) << BucketIdToString(bucket);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolPropertyTest,
