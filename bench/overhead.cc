@@ -88,11 +88,20 @@ BENCHMARK(BM_LrbRankingOnly);
 
 void BM_AdmissionOnly(benchmark::State& state) {
   PlanningFixture& f = Fixture();
-  workload::QuerySpec spec = f.traffic->Next();
   core::PlanGenerator& generator =
       f.system->quality_manager()->generator();
-  Result<std::vector<core::Plan>> plans =
-      generator.Generate(spec.client_site, spec.content, spec.qos);
+  // Not every sampled query has a plan; reserve the best plan of the
+  // first one that does.
+  Result<std::vector<core::Plan>> plans = Status::NotFound("no query drawn");
+  for (int draws = 0; draws < 100 && (!plans.ok() || plans->empty());
+       ++draws) {
+    workload::QuerySpec spec = f.traffic->Next();
+    plans = generator.Generate(spec.client_site, spec.content, spec.qos);
+  }
+  if (!plans.ok() || plans->empty()) {
+    state.SkipWithError("no sampled query has a plan");
+    return;
+  }
   res::CompositeQosApi& api = f.system->quality_manager()->qos_api();
   for (auto _ : state) {
     Result<res::ReservationId> reservation =

@@ -89,9 +89,9 @@ Result<std::vector<PlanGenerator::GroupSeed>> PlanGenerator::EnumerateGroups(
   return groups;
 }
 
-void PlanGenerator::ExpandGroup(const GroupSeed& seed,
-                                const query::QosRequirement& qos,
-                                std::vector<Plan>& out) const {
+size_t PlanGenerator::ExpandGroup(const GroupSeed& seed,
+                                  const query::QosRequirement& qos,
+                                  std::vector<Plan>& out) const {
   const media::ReplicaInfo& replica = seed.replica;
 
   const std::vector<media::FrameDropStrategy>& drops = drop_choices_;
@@ -119,9 +119,10 @@ void PlanGenerator::ExpandGroup(const GroupSeed& seed,
   // Upper bound on this group's yield: the full cross product, doubled
   // when every plan gets a cache-served twin. One reservation instead
   // of a reallocation per surviving candidate.
-  out.reserve(out.size() + targets.size() * drops.size() *
-                               encryptions.size() *
-                               (seed.cache_fraction > 0.0 ? 2 : 1));
+  const size_t candidates =
+      targets.size() * drops.size() * encryptions.size();
+  out.reserve(out.size() +
+              candidates * (seed.cache_fraction > 0.0 ? 2 : 1));
 
   for (const std::optional<media::AppQos>& target : targets) {
     for (media::FrameDropStrategy drop : drops) {
@@ -157,6 +158,7 @@ void PlanGenerator::ExpandGroup(const GroupSeed& seed,
       }
     }
   }
+  return candidates;
 }
 
 ResourceVector PlanGenerator::RetrievalTransferDemand(

@@ -92,9 +92,10 @@ class PlanGenerator {
 
   /// Stage 2: appends every surviving plan of `seed` to `out`, in eager
   /// enumeration order (cache-served twin immediately before its disk
-  /// twin, matching Generate()).
-  void ExpandGroup(const GroupSeed& seed, const query::QosRequirement& qos,
-                   std::vector<Plan>& out) const;
+  /// twin, matching Generate()). Returns the number of (target, drop,
+  /// encryption) candidates considered before static pruning.
+  size_t ExpandGroup(const GroupSeed& seed, const query::QosRequirement& qos,
+                     std::vector<Plan>& out) const;
 
   /// The retrieval + transfer demand every plan of `seed` carries at
   /// minimum, before any activity choice is fixed: disk bandwidth at the

@@ -62,7 +62,8 @@ void PlanStream::Reset(const query::QosRequirement& qos,
 
 void PlanStream::ExpandGroup(size_t group_index) {
   std::vector<Plan> expanded;
-  generator_->ExpandGroup(groups_[group_index], qos_, expanded);
+  stats_.candidates +=
+      generator_->ExpandGroup(groups_[group_index], qos_, expanded);
   ++stats_.groups_expanded;
   stats_.plans_generated += expanded.size();
   size_t within = 0;

@@ -55,6 +55,9 @@ class PlanStream {
     // (replica, delivery-site) prefixes the space decomposes into.
     size_t groups = 0;
     size_t groups_expanded = 0;
+    // (target, drop, encryption) candidates the expanded groups
+    // considered before static pruning.
+    size_t candidates = 0;
     // Plans materialized and costed (the work the eager path always
     // pays for the whole space).
     size_t plans_generated = 0;

@@ -62,6 +62,10 @@ void QualityManager::set_observability(obs::Observability* observability) {
                      "it retried)");
   metrics_.generated = reg.GetCounter("quasaq_plan_generated_total",
                                       "Plans materialized and costed");
+  metrics_.candidates = reg.GetCounter(
+      "quasaq_plan_candidates_total",
+      "(target, drop, encryption) candidates of expanded groups, before "
+      "static pruning");
   metrics_.groups_pruned =
       reg.GetCounter("quasaq_plan_groups_pruned_total",
                      "Search branches the LRB lower bound cut off");
@@ -182,12 +186,14 @@ Result<QualityManager::Admitted> QualityManager::TryAdmitWithStream(
   return result;
 }
 
-void QualityManager::AccountStreamPruning(const PlanStream& stream) {
+void QualityManager::AccountStreamSearch(const PlanStream& stream) {
   if (!stream.status().ok()) return;
   stats_.groups_pruned += stream.groups_pruned();
   if (metrics_.groups_pruned != nullptr) {
     metrics_.groups_pruned->Increment(
         static_cast<double>(stream.groups_pruned()));
+    metrics_.candidates->Increment(
+        static_cast<double>(stream.stats().candidates));
   }
 }
 
@@ -218,7 +224,7 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
   if (attempt.ok()) {
     ++stats_.admitted;
     if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
-    AccountStreamPruning(stream);
+    AccountStreamSearch(stream);
     observe_per_query();
     TraceEnd(context, {{"outcome", "admitted"}});
     return attempt;
@@ -242,7 +248,7 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
         ++stats_.admitted;
         ++stats_.renegotiated;
         if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
-        AccountStreamPruning(stream);
+        AccountStreamSearch(stream);
         observe_per_query();
         retry->renegotiated = true;
         TraceEnd(context, {{"outcome", "admitted_relaxed"},
@@ -252,7 +258,7 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
     }
   }
 
-  AccountStreamPruning(stream);
+  AccountStreamSearch(stream);
   observe_per_query();
   if (any_plans_seen) {
     ++stats_.rejected_no_resources;
@@ -384,7 +390,7 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateImpl(
       if (result.ok()) break;
     }
   }
-  AccountStreamPruning(stream);
+  AccountStreamSearch(stream);
   if (!result.ok() && !any_plans_seen) {
     return Status::NotFound("no plan satisfies the new QoS bounds");
   }

@@ -198,6 +198,7 @@ class QualityManager {
     obs::Counter* relaxations = nullptr;
     obs::Counter* renegotiations = nullptr;
     obs::Counter* generated = nullptr;
+    obs::Counter* candidates = nullptr;
     obs::Counter* groups_pruned = nullptr;
     obs::Histogram* per_query = nullptr;
     obs::Histogram* cutoff_margin = nullptr;
@@ -226,13 +227,14 @@ class QualityManager {
                                     AdmissionContext& context) const;
   // One plan-and-admit attempt at fixed QoS bounds against an open
   // stream (create or Reset it first). Fills `had_plans`; accounts the
-  // round's generated-plan delta. Does NOT account groups_pruned —
-  // that is cumulative stream state, accounted once per stream by
-  // AccountStreamPruning.
+  // round's generated-plan delta. Does NOT account groups_pruned or
+  // candidates — those are cumulative stream state, accounted once per
+  // stream by AccountStreamSearch.
   Result<Admitted> TryAdmitWithStream(PlanStream& stream, bool* had_plans,
                                       const AdmissionContext& context);
-  // Folds the finished stream's pruning win into stats/metrics.
-  void AccountStreamPruning(const PlanStream& stream);
+  // Folds the finished stream's pruning win and pre-pruning candidate
+  // count into stats/metrics.
+  void AccountStreamSearch(const PlanStream& stream);
   // Shared renegotiation walk, relaxation rounds reusing the stream;
   // `adopt` applies an admittable resource vector (swap-in-place for
   // live sessions, reserve-probe for paused ones) and `reservation` is

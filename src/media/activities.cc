@@ -1,5 +1,8 @@
 #include "media/activities.h"
 
+#include <array>
+#include <cstddef>
+
 namespace quasaq::media {
 
 std::string_view FrameDropStrategyName(FrameDropStrategy strategy) {
@@ -47,6 +50,29 @@ FrameDropEffect ComputeFrameDropEffect(const GopPattern& pattern,
   effect.frame_rate_factor =
       static_cast<double>(surviving_frames) / pattern.size();
   return effect;
+}
+
+const FrameDropEffect& StandardFrameDropEffect(VideoFormat format,
+                                               FrameDropStrategy strategy) {
+  using Table =
+      std::array<std::array<FrameDropEffect, kNumFrameDropStrategies>,
+                 kNumVideoFormats>;
+  // A function-local static is initialized exactly once, even when the
+  // first calls race.
+  static const Table table = [] {
+    Table filled;
+    for (int f = 0; f < kNumVideoFormats; ++f) {
+      GopPattern pattern =
+          GopPattern::StandardFor(static_cast<VideoFormat>(f));
+      for (int s = 0; s < kNumFrameDropStrategies; ++s) {
+        filled[static_cast<size_t>(f)][static_cast<size_t>(s)] =
+            ComputeFrameDropEffect(pattern,
+                                   static_cast<FrameDropStrategy>(s));
+      }
+    }
+    return filled;
+  }();
+  return table[static_cast<size_t>(format)][static_cast<size_t>(strategy)];
 }
 
 bool TranscodeAllowed(const AppQos& from, const AppQos& to) {

@@ -49,6 +49,14 @@ struct FrameDropEffect {
 FrameDropEffect ComputeFrameDropEffect(const GopPattern& pattern,
                                        FrameDropStrategy strategy);
 
+/// The effect of `strategy` on `format`'s conventional GOP
+/// (GopPattern::StandardFor). The answer is a pure function of the two
+/// enums, so it is served from a table that ComputeFrameDropEffect fills
+/// once, on first use, and is bit-identical to walking the pattern. The
+/// planner asks this for every candidate plan; thread-safe.
+const FrameDropEffect& StandardFrameDropEffect(VideoFormat format,
+                                               FrameDropStrategy strategy);
+
 // ---------------------------------------------------------------------------
 // Online transcoding (activity set A4)
 

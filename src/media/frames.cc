@@ -33,6 +33,7 @@ GopPattern::GopPattern(std::vector<FrameType> frames)
     : frames_(std::move(frames)) {
   assert(!frames_.empty());
   assert(frames_[0] == FrameType::kI);
+  for (FrameType type : frames_) total_weight_ += FrameTypeWeight(type);
 }
 
 GopPattern GopPattern::Standard() { return Make(15, 3); }
@@ -57,12 +58,6 @@ GopPattern GopPattern::Make(int n, int m) {
     }
   }
   return GopPattern(std::move(frames));
-}
-
-double GopPattern::TotalWeight() const {
-  double total = 0.0;
-  for (FrameType type : frames_) total += FrameTypeWeight(type);
-  return total;
 }
 
 int GopPattern::CountOf(FrameType type) const {

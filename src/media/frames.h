@@ -47,8 +47,9 @@ class GopPattern {
   const std::vector<FrameType>& frames() const { return frames_; }
   int size() const { return static_cast<int>(frames_.size()); }
 
-  /// Sum of FrameTypeWeight over the pattern.
-  double TotalWeight() const;
+  /// Sum of FrameTypeWeight over the pattern (summed once, at
+  /// construction).
+  double TotalWeight() const { return total_weight_; }
 
   /// Number of frames of `type` in one GOP.
   int CountOf(FrameType type) const;
@@ -57,6 +58,7 @@ class GopPattern {
   explicit GopPattern(std::vector<FrameType> frames);
 
   std::vector<FrameType> frames_;
+  double total_weight_ = 0.0;
 };
 
 // One concrete frame instance of a stream.

@@ -12,8 +12,8 @@ media::AppQos StreamTransform::DeliveredQos(
 
 double StreamWireRateKbps(const media::ReplicaInfo& replica,
                           const StreamTransform& transform) {
-  media::FrameDropEffect effect = media::ComputeFrameDropEffect(
-      media::GopPattern::StandardFor(replica.qos.format), transform.drop);
+  const media::FrameDropEffect& effect =
+      media::StandardFrameDropEffect(replica.qos.format, transform.drop);
   return media::EstimateBitrateKBps(transform.DeliveredQos(replica)) *
          effect.bandwidth_factor;
 }
@@ -21,8 +21,8 @@ double StreamWireRateKbps(const media::ReplicaInfo& replica,
 double StreamCpuFraction(const media::ReplicaInfo& replica,
                          const StreamTransform& transform,
                          const media::StreamingCpuCost& cost) {
-  media::FrameDropEffect effect = media::ComputeFrameDropEffect(
-      media::GopPattern::StandardFor(replica.qos.format), transform.drop);
+  const media::FrameDropEffect& effect =
+      media::StandardFrameDropEffect(replica.qos.format, transform.drop);
   double source_fps = replica.qos.frame_rate;
   double delivered_fps = source_fps * effect.frame_rate_factor;
   double wire_rate = StreamWireRateKbps(replica, transform);
@@ -40,8 +40,8 @@ double StreamCpuFraction(const media::ReplicaInfo& replica,
 
 media::AppQos StreamDeliveredQos(const media::ReplicaInfo& replica,
                                  const StreamTransform& transform) {
-  media::FrameDropEffect effect = media::ComputeFrameDropEffect(
-      media::GopPattern::StandardFor(replica.qos.format), transform.drop);
+  const media::FrameDropEffect& effect =
+      media::StandardFrameDropEffect(replica.qos.format, transform.drop);
   media::AppQos qos = transform.DeliveredQos(replica);
   qos.frame_rate *= effect.frame_rate_factor;
   return qos;
@@ -64,14 +64,13 @@ RtpStreamingSession::RtpStreamingSession(sim::Simulator* simulator,
         media::TranscodeCpuMsPerSecond(replica_.qos, delivered_qos_) /
         replica_.qos.frame_rate;
   }
-  media::GopPattern pattern =
-      media::GopPattern::StandardFor(replica_.qos.format);
-  media::FrameDropEffect drop_effect =
-      media::ComputeFrameDropEffect(pattern, transform_.drop);
+  const media::FrameDropEffect& drop_effect =
+      media::StandardFrameDropEffect(replica_.qos.format, transform_.drop);
   wire_rate_kbps_ = media::EstimateBitrateKBps(delivered_qos_) *
                     drop_effect.bandwidth_factor;
   frames_ = std::make_unique<media::FrameSizeGenerator>(
-      pattern, replica_.bitrate_kbps, replica_.qos.frame_rate,
+      media::GopPattern::StandardFor(replica_.qos.format),
+      replica_.bitrate_kbps, replica_.qos.frame_rate,
       replica_.frame_seed, options_.vbr);
 }
 

@@ -89,6 +89,22 @@ TEST(FrameDropEffectTest, FactorsAreMonotoneInAggressiveness) {
   }
 }
 
+TEST(FrameDropEffectTest, StandardTableMatchesPatternWalk) {
+  for (int f = 0; f < kNumVideoFormats; ++f) {
+    auto format = static_cast<VideoFormat>(f);
+    for (int s = 0; s < kNumFrameDropStrategies; ++s) {
+      auto strategy = static_cast<FrameDropStrategy>(s);
+      FrameDropEffect walked =
+          ComputeFrameDropEffect(GopPattern::StandardFor(format), strategy);
+      const FrameDropEffect& table = StandardFrameDropEffect(format, strategy);
+      EXPECT_EQ(table.bandwidth_factor, walked.bandwidth_factor)
+          << VideoFormatName(format) << " " << FrameDropStrategyName(strategy);
+      EXPECT_EQ(table.frame_rate_factor, walked.frame_rate_factor)
+          << VideoFormatName(format) << " " << FrameDropStrategyName(strategy);
+    }
+  }
+}
+
 TEST(TranscodeTest, DisallowsUpscaling) {
   AppQos dvd{kResolutionDvd, 24, 23.97, VideoFormat::kMpeg2};
   AppQos vcd{kResolutionVcd, 24, 23.97, VideoFormat::kMpeg1};

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +14,8 @@
 #include "common/rng.h"
 #include "core/session_manager.h"
 #include "core/system.h"
+#include "media/activities.h"
+#include "media/frames.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -74,6 +78,46 @@ TEST(ConcurrencyStressTest, PoolAcquireReleaseNeverCorruptsUsage) {
   // Every admitted demand was released: the pool drains to zero.
   for (int site = 0; site < 4; ++site) {
     EXPECT_EQ(pool.Used(Net(site)), 0.0);
+  }
+}
+
+TEST(ConcurrencyStressTest, FrameDropTableFirstTouchFromManyThreads) {
+  // ctest runs each test in its own process, so nothing has touched the
+  // table yet and the threads race on its one-time fill.
+  using Reads = std::array<media::FrameDropEffect,
+                           media::kNumVideoFormats *
+                               media::kNumFrameDropStrategies>;
+  std::vector<Reads> reads(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&reads, &start, t] {
+      start.arrive_and_wait();
+      for (int f = 0; f < media::kNumVideoFormats; ++f) {
+        for (int s = 0; s < media::kNumFrameDropStrategies; ++s) {
+          reads[static_cast<size_t>(t)]
+               [static_cast<size_t>(f * media::kNumFrameDropStrategies + s)] =
+                   media::StandardFrameDropEffect(
+                       static_cast<media::VideoFormat>(f),
+                       static_cast<media::FrameDropStrategy>(s));
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int f = 0; f < media::kNumVideoFormats; ++f) {
+    for (int s = 0; s < media::kNumFrameDropStrategies; ++s) {
+      media::FrameDropEffect walked = media::ComputeFrameDropEffect(
+          media::GopPattern::StandardFor(static_cast<media::VideoFormat>(f)),
+          static_cast<media::FrameDropStrategy>(s));
+      const size_t slot =
+          static_cast<size_t>(f * media::kNumFrameDropStrategies + s);
+      for (const Reads& read : reads) {
+        EXPECT_EQ(read[slot].bandwidth_factor, walked.bandwidth_factor);
+        EXPECT_EQ(read[slot].frame_rate_factor, walked.frame_rate_factor);
+      }
+    }
   }
 }
 

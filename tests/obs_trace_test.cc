@@ -261,6 +261,16 @@ TEST(TraceGoldenTest, AdmitRenegotiateCompleteProducesNestedSpans) {
   EXPECT_NE(snapshot.metrics_json.find("quasaq_plan_queries_total"),
             std::string::npos);
   EXPECT_FALSE(snapshot.trace_json.empty());
+
+  // With the cache off there are no cache-served twins, so every
+  // materialized plan was first a candidate before static pruning.
+  obs::MetricsRegistry& metrics = system.observability().metrics();
+  double candidates =
+      metrics.GetCounter("quasaq_plan_candidates_total", "")->value();
+  double generated =
+      metrics.GetCounter("quasaq_plan_generated_total", "")->value();
+  EXPECT_GT(generated, 0.0);
+  EXPECT_GE(candidates, generated);
 }
 
 // Regression: renegotiating a *paused* session plans against the pool

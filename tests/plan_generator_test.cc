@@ -128,6 +128,33 @@ TEST_F(PlanGeneratorTest, StandardSecurityAllowsThreeAlgorithms) {
   EXPECT_TRUE(saw3);
 }
 
+TEST_F(PlanGeneratorTest, ExpandGroupCountsCandidatesBeforePruning) {
+  PlanGenerator generator = MakeGenerator();
+  query::QosRequirement qos;
+  qos.min_security = media::SecurityLevel::kStandard;  // enc1..enc3
+  qos.range.min_resolution = media::kResolutionVcd;    // prunes some
+  Result<std::vector<PlanGenerator::GroupSeed>> groups =
+      generator.EnumerateGroups(SiteId(0), LogicalOid(0));
+  ASSERT_TRUE(groups.ok());
+  ASSERT_EQ(groups->size(), 6u);  // 3 replicas x 2 delivery sites
+  size_t candidates = 0;
+  size_t expected = 0;
+  std::vector<Plan> plans;
+  for (const PlanGenerator::GroupSeed& seed : *groups) {
+    candidates += generator.ExpandGroup(seed, qos, plans);
+    size_t targets = 1;  // stay at stored quality
+    for (const media::AppQos& level :
+         media::QualityLadder::Standard().levels) {
+      if (media::TranscodeAllowed(seed.replica.qos, level)) ++targets;
+    }
+    expected += targets * media::kNumFrameDropStrategies * 3;
+  }
+  EXPECT_EQ(candidates, expected);
+  // Static pruning removed some of them (no cache view, so no twins).
+  EXPECT_LT(plans.size(), candidates);
+  EXPECT_FALSE(plans.empty());
+}
+
 TEST_F(PlanGeneratorTest, NoUpTranscodingEverAppears) {
   PlanGenerator generator = MakeGenerator();
   query::QosRequirement qos;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "media/library.h"
 #include "net/topology.h"
 
@@ -60,6 +63,75 @@ TEST(StreamCostTest, TranscodeReducesWireRateToTarget) {
   EXPECT_NEAR(
       StreamWireRateKbps(replica, transform),
       media::EstimateBitrateKBps(*transform.transcode_target), 1e-9);
+}
+
+// Reference stream costs: the same formulas, with the drop effect taken
+// from a fresh walk of the format's standard GOP pattern.
+struct PatternWalkCosts {
+  double wire_rate_kbps = 0.0;
+  double cpu_fraction = 0.0;
+  media::AppQos delivered;
+};
+
+PatternWalkCosts WalkPattern(const media::ReplicaInfo& replica,
+                             const StreamTransform& transform,
+                             const media::StreamingCpuCost& cost) {
+  media::FrameDropEffect effect = media::ComputeFrameDropEffect(
+      media::GopPattern::StandardFor(replica.qos.format), transform.drop);
+  PatternWalkCosts out;
+  out.wire_rate_kbps =
+      media::EstimateBitrateKBps(transform.DeliveredQos(replica)) *
+      effect.bandwidth_factor;
+  double delivered_fps = replica.qos.frame_rate * effect.frame_rate_factor;
+  double mean_out_kb =
+      delivered_fps > 0.0 ? out.wire_rate_kbps / delivered_fps : 0.0;
+  double transcode_ms_per_second =
+      transform.transcode_target.has_value()
+          ? media::TranscodeCpuMsPerSecond(replica.qos,
+                                           *transform.transcode_target)
+          : 0.0;
+  double ms_per_second =
+      transcode_ms_per_second + cost.FrameMs(mean_out_kb) * delivered_fps +
+      media::EncryptionCpuMsPerKb(transform.encryption) * out.wire_rate_kbps;
+  out.cpu_fraction = ms_per_second / 1000.0;
+  out.delivered = transform.DeliveredQos(replica);
+  out.delivered.frame_rate *= effect.frame_rate_factor;
+  return out;
+}
+
+TEST(StreamCostTest, TableCostsMatchPatternWalkBitForBit) {
+  const media::StreamingCpuCost cost;
+  for (const media::ReplicaInfo& replica : {VcdReplica(), DvdReplica()}) {
+    std::vector<std::optional<media::AppQos>> targets = {std::nullopt};
+    for (const media::AppQos& level :
+         media::QualityLadder::Standard().levels) {
+      if (media::TranscodeAllowed(replica.qos, level)) {
+        targets.push_back(level);
+      }
+    }
+    ASSERT_GE(targets.size(), 3u) << media::VideoFormatName(replica.qos.format);
+    for (const std::optional<media::AppQos>& target : targets) {
+      for (int drop = 0; drop < media::kNumFrameDropStrategies; ++drop) {
+        for (int enc = 0; enc < media::kNumEncryptionAlgorithms; ++enc) {
+          StreamTransform transform;
+          transform.transcode_target = target;
+          transform.drop = static_cast<media::FrameDropStrategy>(drop);
+          transform.encryption = static_cast<media::EncryptionAlgorithm>(enc);
+          SCOPED_TRACE(media::VideoFormatName(replica.qos.format));
+          SCOPED_TRACE(testing::Message() << "target " << target.has_value()
+                                          << " drop " << drop << " enc "
+                                          << enc);
+          PatternWalkCosts expected = WalkPattern(replica, transform, cost);
+          EXPECT_EQ(StreamWireRateKbps(replica, transform),
+                    expected.wire_rate_kbps);
+          EXPECT_EQ(StreamCpuFraction(replica, transform, cost),
+                    expected.cpu_fraction);
+          media::AppQos delivered = StreamDeliveredQos(replica, transform);
+          EXPECT_EQ(delivered, expected.delivered);
+        }
+      }
+    }
+  }
 }
 
 TEST(StreamCostTest, CpuGrowsWithTranscodeAndEncryption) {
