@@ -1,7 +1,6 @@
 #include "common/resource_vector.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 
 namespace quasaq {
@@ -46,15 +45,6 @@ double ResourceVector::Get(const BucketId& bucket) const {
       [](const Entry& e, const BucketId& b) { return e.bucket < b; });
   if (it != entries_.end() && it->bucket == bucket) return it->amount;
   return 0.0;
-}
-
-void ResourceVector::Merge(const ResourceVector& other) {
-  for (const Entry& e : other.entries_) Add(e.bucket, e.amount);
-}
-
-void ResourceVector::Scale(double factor) {
-  assert(factor >= 0.0);
-  for (Entry& e : entries_) e.amount *= factor;
 }
 
 std::string ResourceVector::ToString() const {

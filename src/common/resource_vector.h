@@ -85,12 +85,6 @@ class ResourceVector {
   /// Returns the amount for `bucket` (0 if absent).
   double Get(const BucketId& bucket) const;
 
-  /// Adds every entry of `other` into this vector.
-  void Merge(const ResourceVector& other);
-
-  /// Multiplies every amount by `factor` (>= 0).
-  void Scale(double factor);
-
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
   const std::vector<Entry>& entries() const { return entries_; }

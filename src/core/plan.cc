@@ -30,6 +30,33 @@ std::string Plan::ToString() const {
   return out;
 }
 
+ResourceVector RetrievalTransferDemand(const media::ReplicaInfo& replica,
+                                       SiteId delivery_site,
+                                       double cache_fraction,
+                                       const PlanCostConstants& constants) {
+  ResourceVector demand;
+  // Retrieval: sequential disk read at the stored bitrate, minus the
+  // share served from the source site's segment cache.
+  double disk_kbps = replica.bitrate_kbps * (1.0 - cache_fraction);
+  if (disk_kbps > 0.0) {
+    demand.Add({replica.site, ResourceKind::kDiskBandwidth}, disk_kbps);
+  }
+  if (delivery_site != replica.site) {
+    // Server-to-server transfer of the stored stream: outbound bandwidth
+    // at the source plus a (cheaper) relay CPU share at both ends.
+    demand.Add({replica.site, ResourceKind::kNetworkBandwidth},
+               replica.bitrate_kbps);
+    net::StreamTransform plain;  // forwarding the stored bytes untouched
+    double forward_cpu =
+        net::CostStream(replica, plain, constants.streaming_cost)
+            .cpu_fraction *
+        constants.relay_cpu_factor;
+    demand.Add({replica.site, ResourceKind::kCpu}, forward_cpu);
+    demand.Add({delivery_site, ResourceKind::kCpu}, forward_cpu);
+  }
+  return demand;
+}
+
 void FinalizePlan(Plan& plan, const media::ReplicaInfo& replica,
                   const PlanCostConstants& constants) {
   assert(replica.id == plan.replica_oid);
@@ -37,8 +64,10 @@ void FinalizePlan(Plan& plan, const media::ReplicaInfo& replica,
 
   assert(plan.cache_fraction >= 0.0 && plan.cache_fraction <= 1.0);
 
-  plan.delivered_qos = net::StreamDeliveredQos(replica, plan.transform);
-  plan.wire_rate_kbps = net::StreamWireRateKbps(replica, plan.transform);
+  net::StreamCost stream =
+      net::CostStream(replica, plan.transform, constants.streaming_cost);
+  plan.delivered_qos = stream.delivered_qos;
+  plan.wire_rate_kbps = stream.wire_rate_kbps;
   plan.startup_seconds = constants.startup_base_seconds +
                          constants.buffer_seconds;
   if (plan.IsRelayed()) {
@@ -54,45 +83,23 @@ void FinalizePlan(Plan& plan, const media::ReplicaInfo& replica,
         0.0);
   }
 
-  ResourceVector resources;
-  // Retrieval: sequential disk read at the stored bitrate, minus the
-  // share served from the source site's segment cache — those bytes are
-  // charged to the memory-bandwidth bucket instead.
-  double disk_kbps = replica.bitrate_kbps * (1.0 - plan.cache_fraction);
-  if (disk_kbps > 0.0) {
-    resources.Add({plan.source_site, ResourceKind::kDiskBandwidth},
-                  disk_kbps);
-  }
+  plan.resources = RetrievalTransferDemand(replica, plan.delivery_site,
+                                           plan.cache_fraction, constants);
+  // The cache-served share of the retrieval is charged to the source's
+  // memory-bandwidth bucket instead of its disk.
   if (plan.IsCacheServed()) {
-    resources.Add({plan.source_site, ResourceKind::kMemoryBandwidth},
-                  replica.bitrate_kbps * plan.cache_fraction);
+    plan.resources.Add({plan.source_site, ResourceKind::kMemoryBandwidth},
+                       replica.bitrate_kbps * plan.cache_fraction);
   }
-
-  if (plan.IsRelayed()) {
-    // Server-to-server transfer of the stored stream: outbound bandwidth
-    // at the source plus a (cheaper) relay CPU share at both ends.
-    resources.Add({plan.source_site, ResourceKind::kNetworkBandwidth},
-                  replica.bitrate_kbps);
-    net::StreamTransform plain;  // forwarding the stored bytes untouched
-    double forward_cpu = net::StreamCpuFraction(replica, plain,
-                                                constants.streaming_cost) *
-                         constants.relay_cpu_factor;
-    resources.Add({plan.source_site, ResourceKind::kCpu}, forward_cpu);
-    resources.Add({plan.delivery_site, ResourceKind::kCpu}, forward_cpu);
-  }
-
   // Server activities + packetization run at the delivery site.
-  resources.Add({plan.delivery_site, ResourceKind::kCpu},
-                net::StreamCpuFraction(replica, plan.transform,
-                                       constants.streaming_cost));
+  plan.resources.Add({plan.delivery_site, ResourceKind::kCpu},
+                     stream.cpu_fraction);
   // Client-facing stream leaves the delivery site.
-  resources.Add({plan.delivery_site, ResourceKind::kNetworkBandwidth},
-                plan.wire_rate_kbps);
+  plan.resources.Add({plan.delivery_site, ResourceKind::kNetworkBandwidth},
+                     plan.wire_rate_kbps);
   // Staging buffers.
-  resources.Add({plan.delivery_site, ResourceKind::kMemory},
-                plan.wire_rate_kbps * constants.buffer_seconds);
-
-  plan.resources = std::move(resources);
+  plan.resources.Add({plan.delivery_site, ResourceKind::kMemory},
+                     plan.wire_rate_kbps * constants.buffer_seconds);
 }
 
 }  // namespace quasaq::core

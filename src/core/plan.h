@@ -75,6 +75,20 @@ struct PlanCostConstants {
   double startup_cache_seconds = 0.2;
 };
 
+/// The retrieval + transfer share of a plan's demand (A1, A2), fixed
+/// before any activity choice: disk bandwidth at the source for the
+/// bytes not read from its segment cache and, when `delivery_site` is
+/// not the replica's site, the server-to-server transfer — network
+/// bandwidth at the source and the forwarding CPU at both ends. Every
+/// plan's vector starts from it. It grows as `cache_fraction` shrinks,
+/// so built with a group's cache fraction it lower-bounds both the
+/// cache-served plan and its disk twin (whose memory-bandwidth share is
+/// zero, which is why the cache share is not part of it).
+ResourceVector RetrievalTransferDemand(const media::ReplicaInfo& replica,
+                                       SiteId delivery_site,
+                                       double cache_fraction,
+                                       const PlanCostConstants& constants);
+
 /// Fills the derived fields of `plan` (delivered_qos, wire_rate_kbps,
 /// resources) from the replica it serves. `replica` must match
 /// `plan.replica_oid`.

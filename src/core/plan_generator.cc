@@ -73,9 +73,9 @@ Result<std::vector<PlanGenerator::GroupSeed>> PlanGenerator::EnumerateGroups(
     // Cache warmth of this replica at its source site: a positive
     // fraction yields a cache-served twin of every plan in the group.
     double cache_fraction = 0.0;
-    if (cache_view_ != nullptr && options_.enable_cache_plans) {
+    if (cache_view_ != nullptr) {
       cache_fraction = cache_view_->CachedFraction(replica.site, replica);
-      if (cache_fraction < options_.min_cache_fraction) cache_fraction = 0.0;
+      if (cache_fraction < kMinCacheFraction) cache_fraction = 0.0;
     }
     for (SiteId delivery : sites_) {
       if (!options_.enable_relay && delivery != replica.site) continue;
@@ -163,31 +163,9 @@ size_t PlanGenerator::ExpandGroup(const GroupSeed& seed,
 
 ResourceVector PlanGenerator::RetrievalTransferDemand(
     const GroupSeed& seed) const {
-  const media::ReplicaInfo& replica = seed.replica;
-  ResourceVector demand;
-  // Retrieval floor: when the group carries cache-served twins, the
-  // cached variant reads only (1 - fraction) of the bytes from disk —
-  // the component-wise minimum over both twins, so the bound stays
-  // admissible for either. (The cached twin's memory-bandwidth share is
-  // zero on the disk twin, so it cannot be part of the floor.)
-  double disk_kbps = replica.bitrate_kbps * (1.0 - seed.cache_fraction);
-  if (disk_kbps > 0.0) {
-    demand.Add({replica.site, ResourceKind::kDiskBandwidth}, disk_kbps);
-  }
-  if (seed.delivery_site != replica.site) {
-    // Server-to-server transfer of the stored stream, exactly as
-    // FinalizePlan charges it for every relayed plan.
-    demand.Add({replica.site, ResourceKind::kNetworkBandwidth},
-               replica.bitrate_kbps);
-    net::StreamTransform plain;
-    double forward_cpu = net::StreamCpuFraction(replica, plain,
-                                                options_.constants
-                                                    .streaming_cost) *
-                         options_.constants.relay_cpu_factor;
-    demand.Add({replica.site, ResourceKind::kCpu}, forward_cpu);
-    demand.Add({seed.delivery_site, ResourceKind::kCpu}, forward_cpu);
-  }
-  return demand;
+  return core::RetrievalTransferDemand(seed.replica, seed.delivery_site,
+                                       seed.cache_fraction,
+                                       options_.constants);
 }
 
 Result<std::vector<Plan>> PlanGenerator::Generate(

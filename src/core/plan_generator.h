@@ -47,16 +47,16 @@ class PlanGenerator {
     bool apply_static_pruning = true;
     // Candidate transcode targets (defaults to the standard ladder).
     std::vector<media::AppQos> transcode_targets;
-    // Cache-served plan variants (requires a cache view, see below):
-    // when a replica's source site has at least `min_cache_fraction` of
-    // the object resident in its segment cache, every plan for that
-    // replica is additionally emitted as a cache-served variant whose
-    // resource vector swaps that share of disk bandwidth for memory
-    // bandwidth.
-    bool enable_cache_plans = true;
-    double min_cache_fraction = 0.05;
     PlanCostConstants constants;
   };
+
+  // Cache-served plan variants (only with a cache view attached, see
+  // set_cache_view): when a replica's source site has at least this
+  // fraction of the object resident in its segment cache, every plan for
+  // that replica is additionally emitted as a cache-served variant whose
+  // resource vector swaps that share of disk bandwidth for memory
+  // bandwidth.
+  static constexpr double kMinCacheFraction = 0.05;
 
   // One (A1, A2) prefix of the enumeration: the physical replica and the
   // delivery site are fixed, the activity choices (A3–A5) are still
@@ -97,12 +97,11 @@ class PlanGenerator {
   size_t ExpandGroup(const GroupSeed& seed, const query::QosRequirement& qos,
                      std::vector<Plan>& out) const;
 
-  /// The retrieval + transfer demand every plan of `seed` carries at
-  /// minimum, before any activity choice is fixed: disk bandwidth at the
-  /// source (the cache-served floor when the group has cached twins) and,
-  /// for relayed groups, the server-to-server transfer share. Overlaying
-  /// this vector on the pool lower-bounds the LRB cost of every plan in
-  /// the group — the admissible bound PlanStream prunes with.
+  /// The retrieval + transfer demand (core::RetrievalTransferDemand,
+  /// with the group's cache fraction) that every plan of `seed` carries
+  /// at minimum. Overlaying this vector on the pool lower-bounds the LRB
+  /// cost of every plan in the group — the admissible bound PlanStream
+  /// prunes with.
   ResourceVector RetrievalTransferDemand(const GroupSeed& seed) const;
 
   const Options& options() const { return options_; }

@@ -83,9 +83,6 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
     assert(cost_model_ != nullptr && "unknown cost model name");
     QualityManager::Options quality = options_.quality;
     QualityManager::PopulateDefaultTranscodeTargets(quality.generator);
-    if (options_.cache.enabled) {
-      quality.generator.min_cache_fraction = options_.cache.min_plan_fraction;
-    }
     quality_manager_ = std::make_unique<QualityManager>(
         metadata_.get(), &qos_api_, cost_model_.get(), sites, quality);
     quality_manager_->set_observability(&observability_);

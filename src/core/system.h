@@ -102,9 +102,6 @@ class MediaDbSystem {
     struct Cache {
       bool enabled = false;
       cache::CacheManager::Options manager;
-      // Minimum cached fraction for a cache-served plan variant to be
-      // worth emitting.
-      double min_plan_fraction = 0.05;
     };
     Cache cache;
 

@@ -10,41 +10,33 @@ media::AppQos StreamTransform::DeliveredQos(
   return transcode_target.value_or(replica.qos);
 }
 
-double StreamWireRateKbps(const media::ReplicaInfo& replica,
-                          const StreamTransform& transform) {
+StreamCost CostStream(const media::ReplicaInfo& replica,
+                      const StreamTransform& transform,
+                      const media::StreamingCpuCost& cpu_cost) {
   const media::FrameDropEffect& effect =
       media::StandardFrameDropEffect(replica.qos.format, transform.drop);
-  return media::EstimateBitrateKBps(transform.DeliveredQos(replica)) *
-         effect.bandwidth_factor;
-}
-
-double StreamCpuFraction(const media::ReplicaInfo& replica,
-                         const StreamTransform& transform,
-                         const media::StreamingCpuCost& cost) {
-  const media::FrameDropEffect& effect =
-      media::StandardFrameDropEffect(replica.qos.format, transform.drop);
-  double source_fps = replica.qos.frame_rate;
-  double delivered_fps = source_fps * effect.frame_rate_factor;
-  double wire_rate = StreamWireRateKbps(replica, transform);
-  double mean_out_kb = delivered_fps > 0.0 ? wire_rate / delivered_fps : 0.0;
+  StreamCost cost;
+  cost.delivered_qos = transform.DeliveredQos(replica);
+  cost.wire_rate_kbps = media::EstimateBitrateKBps(cost.delivered_qos) *
+                        effect.bandwidth_factor;
+  // Frames are processed at the source's rate, so the CPU term scales
+  // the source frame rate; the observed QoS at the end scales the frame
+  // rate of the delivered quality (the transcode target's, if any).
+  double delivered_fps = replica.qos.frame_rate * effect.frame_rate_factor;
+  double mean_out_kb =
+      delivered_fps > 0.0 ? cost.wire_rate_kbps / delivered_fps : 0.0;
   double transcode_ms_per_second =
       transform.transcode_target.has_value()
           ? media::TranscodeCpuMsPerSecond(replica.qos,
                                            *transform.transcode_target)
           : 0.0;
   double ms_per_second =
-      transcode_ms_per_second + cost.FrameMs(mean_out_kb) * delivered_fps +
-      media::EncryptionCpuMsPerKb(transform.encryption) * wire_rate;
-  return ms_per_second / 1000.0;
-}
-
-media::AppQos StreamDeliveredQos(const media::ReplicaInfo& replica,
-                                 const StreamTransform& transform) {
-  const media::FrameDropEffect& effect =
-      media::StandardFrameDropEffect(replica.qos.format, transform.drop);
-  media::AppQos qos = transform.DeliveredQos(replica);
-  qos.frame_rate *= effect.frame_rate_factor;
-  return qos;
+      transcode_ms_per_second +
+      cpu_cost.FrameMs(mean_out_kb) * delivered_fps +
+      media::EncryptionCpuMsPerKb(transform.encryption) * cost.wire_rate_kbps;
+  cost.cpu_fraction = ms_per_second / 1000.0;
+  cost.delivered_qos.frame_rate *= effect.frame_rate_factor;
+  return cost;
 }
 
 RtpStreamingSession::RtpStreamingSession(sim::Simulator* simulator,
@@ -54,20 +46,17 @@ RtpStreamingSession::RtpStreamingSession(sim::Simulator* simulator,
     : simulator_(simulator),
       replica_(replica),
       transform_(transform),
-      options_(options) {
+      options_(options),
+      cost_(CostStream(replica, transform, options.cpu_cost)) {
   assert(simulator_ != nullptr);
-  delivered_qos_ = transform_.DeliveredQos(replica_);
   if (transform_.transcode_target.has_value()) {
-    output_scale_ = media::EstimateBitrateKBps(delivered_qos_) /
+    const media::AppQos& target = *transform_.transcode_target;
+    output_scale_ = media::EstimateBitrateKBps(target) /
                     media::EstimateBitrateKBps(replica_.qos);
     transcode_ms_per_frame_ =
-        media::TranscodeCpuMsPerSecond(replica_.qos, delivered_qos_) /
+        media::TranscodeCpuMsPerSecond(replica_.qos, target) /
         replica_.qos.frame_rate;
   }
-  const media::FrameDropEffect& drop_effect =
-      media::StandardFrameDropEffect(replica_.qos.format, transform_.drop);
-  wire_rate_kbps_ = media::EstimateBitrateKBps(delivered_qos_) *
-                    drop_effect.bandwidth_factor;
   frames_ = std::make_unique<media::FrameSizeGenerator>(
       media::GopPattern::StandardFor(replica_.qos.format),
       replica_.bitrate_kbps, replica_.qos.frame_rate,
@@ -118,10 +107,6 @@ int RtpStreamingSession::TotalSourceFrames() const {
     return std::min(options_.max_source_frames, from_duration);
   }
   return from_duration;
-}
-
-double RtpStreamingSession::CpuDemandFraction() const {
-  return StreamCpuFraction(replica_, transform_, options_.cpu_cost);
 }
 
 void RtpStreamingSession::Start(FinishedCallback on_finished) {
@@ -222,7 +207,7 @@ void RtpStreamingSession::HandleSourceFrame() {
   if (!last_frame) {
     // Transmission pacing: the next frame is handled once this frame's
     // bytes have left at the delivered wire rate.
-    double seconds = output_kb / wire_rate_kbps_;
+    double seconds = output_kb / cost_.wire_rate_kbps;
     ScheduleNextFrame(SecondsToSimTime(seconds));
   } else {
     source_exhausted_ = true;

@@ -39,24 +39,25 @@ struct StreamTransform {
   media::AppQos DeliveredQos(const media::ReplicaInfo& replica) const;
 };
 
-/// Average wire rate (KB/s) of `replica` delivered under `transform`
-/// (bitrate of the delivered quality scaled by the drop strategy's
-/// surviving-bytes factor).
-double StreamWireRateKbps(const media::ReplicaInfo& replica,
-                          const StreamTransform& transform);
+// What delivering `replica` under a transform costs while it streams.
+struct StreamCost {
+  // The quality the client observes: the delivered quality with its
+  // frame rate scaled by the drop strategy's surviving-frames factor.
+  media::AppQos delivered_qos;
+  // Average wire rate, KB/s: the bitrate of the delivered quality scaled
+  // by the drop strategy's surviving-bytes factor.
+  double wire_rate_kbps = 0.0;
+  // Fraction of one server CPU: online transcode of every source frame,
+  // packetization of every surviving frame, and encryption of every wire
+  // byte.
+  double cpu_fraction = 0.0;
+};
 
-/// CPU fraction of one server CPU needed to deliver `replica` under
-/// `transform`: online transcode of every source frame, packetization of
-/// every surviving frame, and encryption of every wire byte.
-double StreamCpuFraction(const media::ReplicaInfo& replica,
-                         const StreamTransform& transform,
-                         const media::StreamingCpuCost& cost);
-
-/// The quality actually observed by the client: the delivered quality
-/// with its frame rate scaled by the drop strategy's surviving-frames
-/// factor.
-media::AppQos StreamDeliveredQos(const media::ReplicaInfo& replica,
-                                 const StreamTransform& transform);
+/// The one definition of a stream's cost. Plans, the plan generator's
+/// group bounds and streaming sessions all read it from here.
+StreamCost CostStream(const media::ReplicaInfo& replica,
+                      const StreamTransform& transform,
+                      const media::StreamingCpuCost& cpu_cost);
 
 struct RtpSessionOptions {
   media::StreamingCpuCost cpu_cost;
@@ -116,11 +117,11 @@ class RtpStreamingSession {
 
   /// Average wire rate of the delivered stream, KB/s (after transcode
   /// and frame dropping).
-  double WireRateKbps() const { return wire_rate_kbps_; }
+  double WireRateKbps() const { return cost_.wire_rate_kbps; }
 
-  /// CPU fraction this stream needs on the serving CPU (used both for
-  /// reservations and for the plan's resource vector).
-  double CpuDemandFraction() const;
+  /// CPU fraction this stream needs on the serving CPU (used for its
+  /// reservation; plans charge the same CostStream value).
+  double CpuDemandFraction() const { return cost_.cpu_fraction; }
 
   /// Completion times of the first `record_limit` delivered frames.
   const std::vector<SimTime>& frame_completion_times() const {
@@ -144,9 +145,8 @@ class RtpStreamingSession {
   StreamTransform transform_;
   RtpSessionOptions options_;
 
-  media::AppQos delivered_qos_;
+  StreamCost cost_;
   double output_scale_ = 1.0;      // output bytes per input byte
-  double wire_rate_kbps_ = 0.0;    // average delivered KB/s
   double transcode_ms_per_frame_ = 0.0;
 
   std::unique_ptr<media::FrameSizeGenerator> frames_;

@@ -159,11 +159,11 @@ TEST_F(CachePlanTest, ColdOrBelowThresholdEmitsNoCachedVariants) {
     EXPECT_FALSE(plan.IsCacheServed());
   }
 
-  PlanGenerator::Options disabled;
-  disabled.enable_cache_plans = false;
+  // Detaching the view turns cache-served variants off, however warm.
   FakeCacheView fully_warm(1.0);
-  PlanGenerator off = MakeGenerator(disabled);
+  PlanGenerator off = MakeGenerator();
   off.set_cache_view(&fully_warm);
+  off.set_cache_view(nullptr);
   plans = off.Generate(SiteId(0), LogicalOid(0), AnyQos());
   ASSERT_TRUE(plans.ok());
   for (const Plan& plan : *plans) {

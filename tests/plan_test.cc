@@ -35,11 +35,14 @@ TEST(PlanTest, LocalPlanTouchesOneSiteOnly) {
   for (const ResourceVector::Entry& e : plan.resources.entries()) {
     EXPECT_EQ(e.bucket.site, SiteId(0));
   }
-  EXPECT_NEAR(plan.resources.Get(Bucket(0, ResourceKind::kNetworkBandwidth)),
-              replica.bitrate_kbps, 1e-9);
-  EXPECT_NEAR(plan.resources.Get(Bucket(0, ResourceKind::kDiskBandwidth)),
-              replica.bitrate_kbps, 1e-9);
-  EXPECT_GT(plan.resources.Get(Bucket(0, ResourceKind::kCpu)), 0.0);
+  EXPECT_EQ(plan.resources.Get(Bucket(0, ResourceKind::kNetworkBandwidth)),
+            replica.bitrate_kbps);
+  EXPECT_EQ(plan.resources.Get(Bucket(0, ResourceKind::kDiskBandwidth)),
+            replica.bitrate_kbps);
+  EXPECT_EQ(plan.resources.Get(Bucket(0, ResourceKind::kCpu)),
+            net::CostStream(replica, plan.transform,
+                            PlanCostConstants{}.streaming_cost)
+                .cpu_fraction);
   EXPECT_GT(plan.resources.Get(Bucket(0, ResourceKind::kMemory)), 0.0);
 }
 
@@ -49,18 +52,33 @@ TEST(PlanTest, RelayedPlanChargesBothSites) {
   plan.replica_oid = replica.id;
   plan.source_site = replica.site;
   plan.delivery_site = SiteId(0);
-  FinalizePlan(plan, replica, PlanCostConstants{});
+  plan.transform.drop = media::FrameDropStrategy::kHalfBFrames;
+  const PlanCostConstants constants;
+  FinalizePlan(plan, replica, constants);
   EXPECT_TRUE(plan.IsRelayed());
+  // The stream is costed once, and the forward share once more with a
+  // plain transform.
+  net::StreamCost stream =
+      net::CostStream(replica, plan.transform, constants.streaming_cost);
+  double forward_cpu =
+      net::CostStream(replica, net::StreamTransform{},
+                      constants.streaming_cost)
+          .cpu_fraction *
+      constants.relay_cpu_factor;
+  EXPECT_EQ(plan.delivered_qos, stream.delivered_qos);
+  EXPECT_EQ(plan.wire_rate_kbps, stream.wire_rate_kbps);
   // Source pays disk + transfer bandwidth + relay CPU.
-  EXPECT_GT(plan.resources.Get(Bucket(1, ResourceKind::kDiskBandwidth)), 0.0);
-  EXPECT_NEAR(plan.resources.Get(Bucket(1, ResourceKind::kNetworkBandwidth)),
-              replica.bitrate_kbps, 1e-9);
-  EXPECT_GT(plan.resources.Get(Bucket(1, ResourceKind::kCpu)), 0.0);
-  // Delivery pays streaming CPU + client bandwidth + buffers.
-  EXPECT_GT(plan.resources.Get(Bucket(0, ResourceKind::kCpu)),
-            plan.resources.Get(Bucket(1, ResourceKind::kCpu)));
-  EXPECT_NEAR(plan.resources.Get(Bucket(0, ResourceKind::kNetworkBandwidth)),
-              plan.wire_rate_kbps, 1e-9);
+  EXPECT_EQ(plan.resources.Get(Bucket(1, ResourceKind::kDiskBandwidth)),
+            replica.bitrate_kbps);
+  EXPECT_EQ(plan.resources.Get(Bucket(1, ResourceKind::kNetworkBandwidth)),
+            replica.bitrate_kbps);
+  EXPECT_EQ(plan.resources.Get(Bucket(1, ResourceKind::kCpu)), forward_cpu);
+  // Delivery pays relay + streaming CPU, client bandwidth and buffers.
+  EXPECT_EQ(plan.resources.Get(Bucket(0, ResourceKind::kCpu)),
+            forward_cpu + stream.cpu_fraction);
+  EXPECT_EQ(plan.resources.Get(Bucket(0, ResourceKind::kNetworkBandwidth)),
+            stream.wire_rate_kbps);
+  EXPECT_EQ(plan.resources.size(), 6u);
 }
 
 TEST(PlanTest, RelayedPlanCostsMoreThanLocal) {
@@ -107,6 +125,10 @@ TEST(PlanTest, TranscodePlanReducesWireRateButAddsCpu) {
             plain.resources.Get(Bucket(0, ResourceKind::kCpu)));
   EXPECT_EQ(transcoded.delivered_qos,
             media::QualityLadder::Standard().levels[1]);
+  EXPECT_EQ(transcoded.wire_rate_kbps,
+            net::CostStream(replica, transcoded.transform,
+                            PlanCostConstants{}.streaming_cost)
+                .wire_rate_kbps);
 }
 
 TEST(PlanTest, DropPlanReducesDeliveredFrameRate) {
@@ -119,6 +141,10 @@ TEST(PlanTest, DropPlanReducesDeliveredFrameRate) {
   FinalizePlan(plan, replica, PlanCostConstants{});
   EXPECT_NEAR(plan.delivered_qos.frame_rate,
               replica.qos.frame_rate / 3.0, 1e-9);
+  EXPECT_EQ(plan.delivered_qos,
+            net::CostStream(replica, plan.transform,
+                            PlanCostConstants{}.streaming_cost)
+                .delivered_qos);
   EXPECT_LT(plan.wire_rate_kbps, replica.bitrate_kbps);
 }
 
@@ -167,8 +193,8 @@ TEST(PlanTest, BufferScalesWithWireRate) {
   PlanCostConstants constants;
   constants.buffer_seconds = 4.0;
   FinalizePlan(plan, replica, constants);
-  EXPECT_NEAR(plan.resources.Get(Bucket(0, ResourceKind::kMemory)),
-              plan.wire_rate_kbps * 4.0, 1e-9);
+  EXPECT_EQ(plan.resources.Get(Bucket(0, ResourceKind::kMemory)),
+            plan.wire_rate_kbps * 4.0);
 }
 
 }  // namespace

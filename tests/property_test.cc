@@ -1,6 +1,8 @@
 // Property-based suites: invariants checked across randomized or swept
 // parameter spaces (TEST_P / INSTANTIATE_TEST_SUITE_P).
 
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -382,17 +384,82 @@ TEST_P(TransformSweepTest, WireRateAndCpuArePositiveAndBounded) {
     net::StreamTransform transform;
     transform.drop = static_cast<media::FrameDropStrategy>(drop);
     transform.encryption = static_cast<media::EncryptionAlgorithm>(enc);
-    double wire = net::StreamWireRateKbps(replica, transform);
-    EXPECT_GT(wire, 0.0);
-    EXPECT_LE(wire, replica.bitrate_kbps + 1e-9);
-    double cpu = net::StreamCpuFraction(replica, transform,
-                                        media::StreamingCpuCost{});
-    EXPECT_GT(cpu, 0.0);
-    EXPECT_LT(cpu, 1.0);
+    net::StreamCost cost =
+        net::CostStream(replica, transform, media::StreamingCpuCost{});
+    EXPECT_GT(cost.wire_rate_kbps, 0.0);
+    EXPECT_LE(cost.wire_rate_kbps, replica.bitrate_kbps + 1e-9);
+    EXPECT_GT(cost.cpu_fraction, 0.0);
+    EXPECT_LT(cost.cpu_fraction, 1.0);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Drops, TransformSweepTest, ::testing::Range(0, 4));
+
+// --- group bound soundness ---------------------------------------------------
+
+// (ladder level: 0 = MPEG-2 DVD, 1 = MPEG-1 VCD; relayed delivery;
+// the group's cache fraction).
+using GroupBoundCase = std::tuple<int, bool, double>;
+
+class GroupBoundPropertyTest
+    : public ::testing::TestWithParam<GroupBoundCase> {};
+
+// PlanStream prunes a (replica, delivery site) group by the LRB cost of
+// RetrievalTransferDemand(seed). That bound is admissible only if every
+// plan the group expands to, cache-served twin and disk twin alike,
+// carries at least as much in every bucket.
+TEST_P(GroupBoundPropertyTest, EveryExpandedPlanCarriesTheBound) {
+  const auto [level, relayed, cache_fraction] = GetParam();
+  std::vector<SiteId> sites = {SiteId(0), SiteId(1)};
+  meta::DistributedMetadataEngine metadata(
+      sites, meta::DistributedMetadataEngine::Options());
+  core::PlanGenerator generator(&metadata, sites,
+                                core::PlanGenerator::Options());
+
+  core::PlanGenerator::GroupSeed seed;
+  seed.replica.id = PhysicalOid(7);
+  seed.replica.content = LogicalOid(0);
+  seed.replica.site = SiteId(1);
+  seed.replica.qos =
+      media::QualityLadder::Standard().levels[static_cast<size_t>(level)];
+  seed.replica.duration_seconds = 60.0;
+  media::FinalizeReplicaSizing(seed.replica);
+  seed.delivery_site = relayed ? SiteId(0) : SiteId(1);
+  seed.cache_fraction = cache_fraction;
+
+  // Empty only for a local, fully cache-served group.
+  const ResourceVector bound = generator.RetrievalTransferDemand(seed);
+  EXPECT_EQ(bound.empty(), !relayed && cache_fraction == 1.0);
+  for (media::SecurityLevel security :
+       {media::SecurityLevel::kNone, media::SecurityLevel::kStandard}) {
+    query::QosRequirement qos;
+    qos.range.min_frame_rate = 1.0;
+    qos.min_security = security;
+    std::vector<core::Plan> plans;
+    generator.ExpandGroup(seed, qos, plans);
+    ASSERT_FALSE(plans.empty());
+    size_t cached = 0;
+    for (const core::Plan& plan : plans) {
+      if (plan.IsCacheServed()) ++cached;
+      for (const ResourceVector::Entry& e : bound.entries()) {
+        EXPECT_GE(plan.resources.Get(e.bucket), e.amount)
+            << BucketIdToString(e.bucket) << " of " << plan.ToString();
+      }
+    }
+    EXPECT_EQ(cached * 2, cache_fraction > 0.0 ? plans.size() : 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Groups, GroupBoundPropertyTest,
+    ::testing::Combine(::testing::Values(0, 1), ::testing::Bool(),
+                       ::testing::Values(0.0, 0.3, 1.0)),
+    [](const ::testing::TestParamInfo<GroupBoundCase>& info) {
+      return std::string(std::get<0>(info.param) == 0 ? "Mpeg2" : "Mpeg1") +
+             (std::get<1>(info.param) ? "Relayed" : "Local") + "Cache" +
+             std::to_string(
+                 static_cast<int>(std::get<2>(info.param) * 100.0));
+    });
 
 }  // namespace
 }  // namespace quasaq

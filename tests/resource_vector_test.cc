@@ -72,26 +72,6 @@ TEST(ResourceVectorTest, EntriesStaySorted) {
   EXPECT_EQ(v.entries()[2].bucket, Net(1));
 }
 
-TEST(ResourceVectorTest, MergeAddsEntries) {
-  ResourceVector a;
-  a.Add(Cpu(0), 0.1);
-  ResourceVector b;
-  b.Add(Cpu(0), 0.2);
-  b.Add(Net(0), 50.0);
-  a.Merge(b);
-  EXPECT_NEAR(a.Get(Cpu(0)), 0.3, 1e-12);
-  EXPECT_DOUBLE_EQ(a.Get(Net(0)), 50.0);
-}
-
-TEST(ResourceVectorTest, ScaleMultipliesEverything) {
-  ResourceVector v;
-  v.Add(Cpu(0), 2.0);
-  v.Add(Net(0), 10.0);
-  v.Scale(0.5);
-  EXPECT_DOUBLE_EQ(v.Get(Cpu(0)), 1.0);
-  EXPECT_DOUBLE_EQ(v.Get(Net(0)), 5.0);
-}
-
 TEST(ResourceVectorTest, ToStringListsEntries) {
   ResourceVector v;
   v.Add(Cpu(0), 0.25);

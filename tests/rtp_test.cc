@@ -42,27 +42,29 @@ TEST(StreamTransformTest, DeliveredQosDefaultsToStoredQuality) {
 
 TEST(StreamCostTest, WireRateMatchesBitrateWithoutTransform) {
   media::ReplicaInfo replica = VcdReplica();
-  EXPECT_NEAR(StreamWireRateKbps(replica, StreamTransform{}),
-              replica.bitrate_kbps, 1e-9);
+  EXPECT_EQ(CostStream(replica, StreamTransform{}, media::StreamingCpuCost{})
+                .wire_rate_kbps,
+            replica.bitrate_kbps);
 }
 
 TEST(StreamCostTest, DroppingReducesWireRateAndFrameRate) {
   media::ReplicaInfo replica = VcdReplica();
   StreamTransform transform;
   transform.drop = media::FrameDropStrategy::kAllBFrames;
-  EXPECT_NEAR(StreamWireRateKbps(replica, transform),
-              replica.bitrate_kbps * 17.0 / 27.0, 1e-9);
-  media::AppQos delivered = StreamDeliveredQos(replica, transform);
-  EXPECT_NEAR(delivered.frame_rate, replica.qos.frame_rate / 3.0, 1e-9);
+  StreamCost cost =
+      CostStream(replica, transform, media::StreamingCpuCost{});
+  EXPECT_NEAR(cost.wire_rate_kbps, replica.bitrate_kbps * 17.0 / 27.0, 1e-9);
+  EXPECT_NEAR(cost.delivered_qos.frame_rate, replica.qos.frame_rate / 3.0,
+              1e-9);
 }
 
 TEST(StreamCostTest, TranscodeReducesWireRateToTarget) {
   media::ReplicaInfo replica = DvdReplica();
   StreamTransform transform;
   transform.transcode_target = media::QualityLadder::Standard().levels[1];
-  EXPECT_NEAR(
-      StreamWireRateKbps(replica, transform),
-      media::EstimateBitrateKBps(*transform.transcode_target), 1e-9);
+  EXPECT_EQ(
+      CostStream(replica, transform, media::StreamingCpuCost{}).wire_rate_kbps,
+      media::EstimateBitrateKBps(*transform.transcode_target));
 }
 
 // Reference stream costs: the same formulas, with the drop effect taken
@@ -122,12 +124,10 @@ TEST(StreamCostTest, TableCostsMatchPatternWalkBitForBit) {
                                           << " drop " << drop << " enc "
                                           << enc);
           PatternWalkCosts expected = WalkPattern(replica, transform, cost);
-          EXPECT_EQ(StreamWireRateKbps(replica, transform),
-                    expected.wire_rate_kbps);
-          EXPECT_EQ(StreamCpuFraction(replica, transform, cost),
-                    expected.cpu_fraction);
-          media::AppQos delivered = StreamDeliveredQos(replica, transform);
-          EXPECT_EQ(delivered, expected.delivered);
+          StreamCost actual = CostStream(replica, transform, cost);
+          EXPECT_EQ(actual.wire_rate_kbps, expected.wire_rate_kbps);
+          EXPECT_EQ(actual.cpu_fraction, expected.cpu_fraction);
+          EXPECT_EQ(actual.delivered_qos, expected.delivered);
         }
       }
     }
@@ -137,13 +137,13 @@ TEST(StreamCostTest, TableCostsMatchPatternWalkBitForBit) {
 TEST(StreamCostTest, CpuGrowsWithTranscodeAndEncryption) {
   media::ReplicaInfo replica = DvdReplica();
   media::StreamingCpuCost cost;
-  double plain = StreamCpuFraction(replica, StreamTransform{}, cost);
+  double plain = CostStream(replica, StreamTransform{}, cost).cpu_fraction;
   StreamTransform transcoded;
   transcoded.transcode_target = media::QualityLadder::Standard().levels[1];
-  EXPECT_GT(StreamCpuFraction(replica, transcoded, cost), plain * 2.0);
+  EXPECT_GT(CostStream(replica, transcoded, cost).cpu_fraction, plain * 2.0);
   StreamTransform encrypted;
   encrypted.encryption = media::EncryptionAlgorithm::kAlgorithm1;
-  EXPECT_GT(StreamCpuFraction(replica, encrypted, cost), plain);
+  EXPECT_GT(CostStream(replica, encrypted, cost).cpu_fraction, plain);
 }
 
 class RtpSessionTest : public ::testing::Test {
@@ -257,6 +257,26 @@ TEST_F(RtpSessionTest, ReservedAttachmentRespectsAdmission) {
   simulator_.RunAll();
   EXPECT_TRUE(session.finished());
   EXPECT_EQ(session.delivered_frames(), 50);
+}
+
+TEST_F(RtpSessionTest, SessionReadsItsCostFromCostStream) {
+  RtpSessionOptions options;
+  options.cpu_cost.ms_per_frame_base = 0.7;
+  for (const media::ReplicaInfo& replica : {VcdReplica(), DvdReplica()}) {
+    for (int drop = 0; drop < media::kNumFrameDropStrategies; ++drop) {
+      StreamTransform transform;
+      transform.drop = static_cast<media::FrameDropStrategy>(drop);
+      transform.encryption = media::EncryptionAlgorithm::kAlgorithm2;
+      if (replica.qos != media::QualityLadder::Standard().levels[1]) {
+        transform.transcode_target =
+            media::QualityLadder::Standard().levels[1];
+      }
+      RtpStreamingSession session(&simulator_, replica, transform, options);
+      StreamCost expected = CostStream(replica, transform, options.cpu_cost);
+      EXPECT_EQ(session.WireRateKbps(), expected.wire_rate_kbps);
+      EXPECT_EQ(session.CpuDemandFraction(), expected.cpu_fraction);
+    }
+  }
 }
 
 TEST_F(RtpSessionTest, ZeroFrameSessionFinishesImmediately) {
