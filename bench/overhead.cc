@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 
 #include "core/system.h"
 #include "query/parser.h"
@@ -113,6 +114,64 @@ void BM_AdmissionOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdmissionOnly);
+
+// A refused admission: every CPU bucket is full, so no plan fits and the
+// walk relaxes the window twice (paper §3.2's second chance) before
+// giving up. Refusals are the expensive admissions — they walk three
+// rankings instead of stopping at the first admitted plan.
+void BM_AdmissionRefusedAfterRelaxation(benchmark::State& state) {
+  sim::Simulator simulator;
+  core::MediaDbSystem::Options options;
+  options.kind = core::SystemKind::kVdbmsQuasaq;
+  core::MediaDbSystem system(&simulator, options);
+  workload::TrafficGenerator traffic(workload::TrafficOptions(),
+                                     options.library.num_videos,
+                                     options.topology.SiteIds());
+  core::QualityManager& manager = *system.quality_manager();
+  // A query with plans whose window the profile can relax twice.
+  const core::UserProfile& profile = traffic.profile();
+  std::optional<workload::QuerySpec> spec;
+  for (int draws = 0; draws < 100 && !spec.has_value(); ++draws) {
+    workload::QuerySpec candidate = traffic.Next();
+    media::AppQosRange range = candidate.qos.range;
+    Result<std::vector<core::Plan>> plans = manager.generator().Generate(
+        candidate.client_site, candidate.content, candidate.qos);
+    if (plans.ok() && !plans->empty() &&
+        profile.RelaxForRenegotiation(range) &&
+        profile.RelaxForRenegotiation(range)) {
+      spec = candidate;
+    }
+  }
+  if (!spec.has_value()) {
+    state.SkipWithError("no sampled query relaxes twice");
+    return;
+  }
+  ResourceVector full;
+  for (const BucketId& bucket : system.pool().Buckets()) {
+    if (bucket.kind == ResourceKind::kCpu) {
+      full.Add(bucket, system.pool().Capacity(bucket));
+    }
+  }
+  if (!system.pool().Acquire(full).ok()) {
+    state.SkipWithError("could not fill the CPU buckets");
+    return;
+  }
+
+  const uint64_t generated_before = manager.stats().plans_generated;
+  for (auto _ : state) {
+    Result<core::QualityManager::Admitted> admitted = manager.AdmitQuery(
+        spec->client_site, spec->content, spec->qos, &profile);
+    benchmark::DoNotOptimize(admitted);
+    if (admitted.status().code() != StatusCode::kResourceExhausted) {
+      state.SkipWithError("admission was not refused for lack of resources");
+      return;
+    }
+  }
+  state.counters["plans_per_refusal"] = benchmark::Counter(
+      static_cast<double>(manager.stats().plans_generated - generated_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_AdmissionRefusedAfterRelaxation)->Unit(benchmark::kMicrosecond);
 
 // Search-space scaling (paper §3.4: fixing the activity order reduces
 // the space to O(d^n)): plan-generation cost as the deployment grows.

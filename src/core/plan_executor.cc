@@ -33,18 +33,20 @@ Result<std::unique_ptr<RunningDelivery>> PlanExecutor::Execute(
   }
   auto session = std::make_unique<net::RtpStreamingSession>(
       simulator_, replica, plan.transform, options_.session);
-  double cpu_demand =
-      session->CpuDemandFraction() * options_.cpu_reservation_factor;
+  // Each site's CPU reservation is what the plan's vector charges there:
+  // at the delivery site the stream's work plus, for a relayed plan, its
+  // forwarding share; at the source only the forwarding share.
   Status status = session->AttachReserved(
-      &SchedulerFor(plan.delivery_site), cpu_demand);
+      &SchedulerFor(plan.delivery_site),
+      plan.resources.Get({plan.delivery_site, ResourceKind::kCpu}) *
+          options_.cpu_reservation_factor);
   if (!status.ok()) return status;
   if (plan.IsRelayed()) {
-    // Reserve the forwarding share the plan charged to the source CPU.
-    double relay_cpu = plan.resources.Get(
-        {plan.source_site, ResourceKind::kCpu});
-    status = session->AttachRelay(&SchedulerFor(plan.source_site),
-                                  relay_cpu * options_.cpu_reservation_factor,
-                                  options_.relay_hop_latency);
+    status = session->AttachRelay(
+        &SchedulerFor(plan.source_site),
+        plan.resources.Get({plan.source_site, ResourceKind::kCpu}) *
+            options_.cpu_reservation_factor,
+        options_.relay_hop_latency);
     if (!status.ok()) return status;
   }
   if (cache_ != nullptr) {

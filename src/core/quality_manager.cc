@@ -134,60 +134,88 @@ RuntimeCostEvaluator QualityManager::EvaluatorFor(
   return evaluator;
 }
 
-Result<QualityManager::Admitted> QualityManager::TryAdmitWithStream(
-    PlanStream& stream, bool* had_plans, const AdmissionContext& context) {
-  const size_t generated_before = stream.stats().plans_generated;
-  // Enumeration and admission interleave, so one plan.enumerate span
-  // covers the whole walk; reservation of the winning plan still gets
-  // its own nested plan.reserve span.
-  TraceBegin(context, "plan.enumerate");
-  Result<Admitted> result =
-      Status::ResourceExhausted("no admittable plan");
-  double admitted_cost = 0.0;
-  int attempts = 0;
-  while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
-    *had_plans = true;
-    if (options_.max_admission_attempts > 0 &&
-        attempts >= options_.max_admission_attempts) {
+template <typename Adopt>
+QualityManager::WalkResult QualityManager::RelaxationWalk(
+    SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
+    const UserProfile* profile, AdmissionContext& context, bool screen,
+    const Adopt& adopt) {
+  WalkResult walk;
+  // One PlanStream serves every round: relaxation rounds Reset() it over
+  // the already-enumerated groups instead of re-fetching metadata and
+  // re-seeding per round.
+  PlanStream stream(&generator_, EvaluatorFor(qos, context),
+                    &qos_api_->pool(), query_site, content, qos);
+  if (!stream.status().ok()) {
+    walk.admitted = stream.status();
+    return walk;
+  }
+  query::QosRequirement relaxed = qos;
+  for (int round = 0;; ++round) {
+    if (round > 0) {
+      // Second chance: relax the QoS bounds along the axis this user
+      // values least and retry (paper §3.2's renegotiation).
+      if (!options_.enable_renegotiation || profile == nullptr ||
+          round > options_.max_renegotiation_rounds ||
+          !profile->RelaxForRenegotiation(relaxed.range)) {
+        break;
+      }
+      if (metrics_.relaxations != nullptr) metrics_.relaxations->Increment();
+      TraceInstant(context, "plan.relax");
+      stream.Reset(relaxed, EvaluatorFor(relaxed, context));
+      walk.rounds = round;
+    }
+
+    // Enumeration and adoption interleave, so one plan.enumerate span
+    // covers the round; each adoption attempt gets its own nested
+    // plan.reserve span.
+    const size_t generated_before = stream.stats().plans_generated;
+    TraceBegin(context, "plan.enumerate");
+    std::optional<double> adopted_cost;
+    int attempts = 0;
+    while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
+      walk.any_plans = true;
+      if (options_.max_admission_attempts > 0 &&
+          attempts >= options_.max_admission_attempts) {
+        break;
+      }
+      ++attempts;
+      if (screen && !qos_api_->Admissible(ranked->plan.resources)) continue;
+      TraceBegin(context, "plan.reserve");
+      Result<res::ReservationId> reservation = adopt(ranked->plan.resources);
+      if (!reservation.ok()) {
+        TraceEnd(context, {{"outcome", "rejected"}});
+        continue;
+      }
+      Admitted admitted;
+      admitted.plan = std::move(ranked->plan);
+      admitted.reservation = *reservation;
+      adopted_cost = ranked->cost;
+      TraceEnd(context,
+               {{"attempts", std::to_string(attempts)},
+                {"site", std::to_string(admitted.plan.delivery_site.value())}});
+      walk.admitted = std::move(admitted);
       break;
     }
-    ++attempts;
-    if (!qos_api_->Admissible(ranked->plan.resources)) continue;
-    TraceBegin(context, "plan.reserve");
-    Result<res::ReservationId> reservation =
-        qos_api_->Reserve(ranked->plan.resources);
-    if (!reservation.ok()) {  // raced/edge: try the next plan
-      TraceEnd(context, {{"outcome", "rejected"}});
-      continue;
+    const size_t generated =
+        stream.stats().plans_generated - generated_before;
+    walk.plans += generated;
+    stats_.plans_generated += generated;
+    if (metrics_.generated != nullptr) {
+      metrics_.generated->Increment(static_cast<double>(generated));
+      // How decisively the lower bound cut the rest of the space off: the
+      // frontier's best remaining bound relative to the adopted cost.
+      std::optional<double> bound = stream.FrontierBound();
+      if (adopted_cost.has_value() && bound.has_value() &&
+          *adopted_cost > 0.0) {
+        metrics_.cutoff_margin->Observe(*bound / *adopted_cost);
+      }
     }
-    Admitted admitted;
-    admitted.plan = std::move(ranked->plan);
-    admitted.reservation = *reservation;
-    admitted_cost = ranked->cost;
-    TraceEnd(context, {{"attempts", std::to_string(attempts)},
-              {"site", std::to_string(admitted.plan.delivery_site.value())}});
-    result = std::move(admitted);
-    break;
+    TraceEnd(context, {{"plans", std::to_string(generated)},
+                       {"pruned", std::to_string(stream.groups_pruned())}});
+    if (walk.admitted.ok()) break;
   }
-  const size_t generated =
-      stream.stats().plans_generated - generated_before;
-  stats_.plans_generated += generated;
-  if (metrics_.generated != nullptr) {
-    metrics_.generated->Increment(static_cast<double>(generated));
-    // How decisively the lower bound cut the rest of the space off: the
-    // frontier's best remaining bound relative to the admitted cost.
-    std::optional<double> bound = stream.FrontierBound();
-    if (result.ok() && bound.has_value() && admitted_cost > 0.0) {
-      metrics_.cutoff_margin->Observe(*bound / admitted_cost);
-    }
-  }
-  TraceEnd(context, {{"plans", std::to_string(generated)},
-            {"pruned", std::to_string(stream.groups_pruned())}});
-  return result;
-}
-
-void QualityManager::AccountStreamSearch(const PlanStream& stream) {
-  if (!stream.status().ok()) return;
+  // Pruned groups and candidates are cumulative stream state, accounted
+  // once per walk.
   stats_.groups_pruned += stream.groups_pruned();
   if (metrics_.groups_pruned != nullptr) {
     metrics_.groups_pruned->Increment(
@@ -195,6 +223,10 @@ void QualityManager::AccountStreamSearch(const PlanStream& stream) {
     metrics_.candidates->Increment(
         static_cast<double>(stream.stats().candidates));
   }
+  if (!walk.any_plans) {
+    walk.admitted = Status::NotFound("no plan satisfies the QoS bounds");
+  }
+  return walk;
 }
 
 Result<QualityManager::Admitted> QualityManager::AdmitQuery(
@@ -203,64 +235,28 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
   ++stats_.queries;
   if (metrics_.queries != nullptr) metrics_.queries->Increment();
   TraceBegin(context, "delivery.admit");
-  const uint64_t generated_before =
-      stats_.plans_generated.load(std::memory_order_relaxed);
-  auto observe_per_query = [&] {
-    if (metrics_.per_query != nullptr) {
-      metrics_.per_query->Observe(static_cast<double>(
-          stats_.plans_generated.load(std::memory_order_relaxed) -
-          generated_before));
-    }
-  };
-  // One PlanStream serves the whole admission — relaxation rounds
-  // Reset() it over the already-enumerated groups instead of
-  // re-fetching metadata and re-seeding per round.
-  PlanStream stream(&generator_, EvaluatorFor(qos, context),
-                    &qos_api_->pool(), query_site, content, qos);
-  bool had_plans = false;
-  Result<Admitted> attempt =
-      stream.status().ok() ? TryAdmitWithStream(stream, &had_plans, context)
-                           : Result<Admitted>(stream.status());
-  if (attempt.ok()) {
+  WalkResult walk = RelaxationWalk(
+      query_site, content, qos, profile, context, /*screen=*/true,
+      [this](const ResourceVector& resources) {
+        return qos_api_->Reserve(resources);
+      });
+  if (metrics_.per_query != nullptr) {
+    metrics_.per_query->Observe(static_cast<double>(walk.plans));
+  }
+  if (walk.admitted.ok()) {
     ++stats_.admitted;
     if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
-    AccountStreamSearch(stream);
-    observe_per_query();
-    TraceEnd(context, {{"outcome", "admitted"}});
-    return attempt;
-  }
-
-  // Second chance: relax the QoS bounds along the axis this user values
-  // least and retry (paper §3.2's renegotiation on admission failure).
-  bool any_plans_seen = had_plans;
-  if (options_.enable_renegotiation && profile != nullptr) {
-    query::QosRequirement relaxed = qos;
-    for (int round = 0; round < options_.max_renegotiation_rounds; ++round) {
-      if (!profile->RelaxForRenegotiation(relaxed.range)) break;
-      if (metrics_.relaxations != nullptr) metrics_.relaxations->Increment();
-      TraceInstant(context, "plan.relax");
-      stream.Reset(relaxed, EvaluatorFor(relaxed, context));
-      had_plans = false;
-      Result<Admitted> retry =
-          TryAdmitWithStream(stream, &had_plans, context);
-      any_plans_seen = any_plans_seen || had_plans;
-      if (retry.ok()) {
-        ++stats_.admitted;
-        ++stats_.renegotiated;
-        if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
-        AccountStreamSearch(stream);
-        observe_per_query();
-        retry->renegotiated = true;
-        TraceEnd(context, {{"outcome", "admitted_relaxed"},
-                           {"rounds", std::to_string(round + 1)}});
-        return retry;
-      }
+    if (walk.rounds == 0) {
+      TraceEnd(context, {{"outcome", "admitted"}});
+    } else {
+      ++stats_.renegotiated;
+      walk.admitted->renegotiated = true;
+      TraceEnd(context, {{"outcome", "admitted_relaxed"},
+                         {"rounds", std::to_string(walk.rounds)}});
     }
+    return std::move(walk.admitted);
   }
-
-  AccountStreamSearch(stream);
-  observe_per_query();
-  if (any_plans_seen) {
+  if (walk.any_plans) {
     ++stats_.rejected_no_resources;
     if (metrics_.rejected_no_resources != nullptr) {
       metrics_.rejected_no_resources->Increment();
@@ -323,78 +319,16 @@ std::string QualityManager::FormatPlanListing(
   return out;
 }
 
-Result<QualityManager::Admitted> QualityManager::RenegotiateImpl(
-    SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    const UserProfile* profile, AdmissionContext context,
-    const std::function<Status(const ResourceVector&)>& adopt,
-    res::ReservationId reservation) {
-  // One renegotiation — however many relaxation rounds it retries below
+Result<QualityManager::Admitted> QualityManager::FinishRenegotiation(
+    WalkResult walk) {
+  // One renegotiation — however many relaxation rounds its walk retried
   // — counts once. Counting per round double-counted retried
   // renegotiations in the exposition.
   if (metrics_.renegotiations != nullptr) {
     metrics_.renegotiations->Increment();
   }
-
-  // One admission walk at fixed bounds; used per relaxation round.
-  auto walk = [&](PlanStream& stream, bool* had_plans) -> Result<Admitted> {
-    const size_t generated_before = stream.stats().plans_generated;
-    TraceBegin(context, "plan.enumerate");
-    Result<Admitted> result = Status::ResourceExhausted(
-        "no admittable plan for the renegotiated QoS");
-    while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
-      *had_plans = true;
-      TraceBegin(context, "plan.reserve");
-      Status status = adopt(ranked->plan.resources);
-      if (!status.ok()) {
-        TraceEnd(context, {{"outcome", "rejected"}});
-        continue;
-      }
-      Admitted admitted;
-      admitted.plan = std::move(ranked->plan);
-      admitted.reservation = reservation;
-      admitted.renegotiated = true;
-      TraceEnd(context, {{"site", std::to_string(
-                                      admitted.plan.delivery_site.value())}});
-      result = std::move(admitted);
-      break;
-    }
-    const size_t generated =
-        stream.stats().plans_generated - generated_before;
-    stats_.plans_generated += generated;
-    if (metrics_.generated != nullptr) {
-      metrics_.generated->Increment(static_cast<double>(generated));
-    }
-    TraceEnd(context, {{"plans", std::to_string(generated)}});
-    return result;
-  };
-
-  PlanStream stream(&generator_, EvaluatorFor(qos, context),
-                    &qos_api_->pool(), query_site, content, qos);
-  if (!stream.status().ok()) return stream.status();
-  bool had_plans = false;
-  Result<Admitted> result = walk(stream, &had_plans);
-  bool any_plans_seen = had_plans;
-  if (!result.ok() && options_.enable_renegotiation && profile != nullptr) {
-    // Relaxation rounds reuse the session's still-open stream: the
-    // (replica, site) groups stay enumerated, only the QoS window and
-    // the frontier re-arm.
-    query::QosRequirement relaxed = qos;
-    for (int round = 0; round < options_.max_renegotiation_rounds; ++round) {
-      if (!profile->RelaxForRenegotiation(relaxed.range)) break;
-      if (metrics_.relaxations != nullptr) metrics_.relaxations->Increment();
-      TraceInstant(context, "plan.relax");
-      stream.Reset(relaxed, EvaluatorFor(relaxed, context));
-      had_plans = false;
-      result = walk(stream, &had_plans);
-      any_plans_seen = any_plans_seen || had_plans;
-      if (result.ok()) break;
-    }
-  }
-  AccountStreamSearch(stream);
-  if (!result.ok() && !any_plans_seen) {
-    return Status::NotFound("no plan satisfies the new QoS bounds");
-  }
-  return result;
+  if (walk.admitted.ok()) walk.admitted->renegotiated = true;
+  return std::move(walk.admitted);
 }
 
 Result<QualityManager::Admitted> QualityManager::RenegotiateDelivery(
@@ -404,30 +338,35 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateDelivery(
   if (qos_api_->Find(id) == nullptr) {
     return Status::NotFound("unknown reservation");
   }
-  return RenegotiateImpl(
-      query_site, content, qos, profile, std::move(context),
-      [this, id](const ResourceVector& resources) {
-        return qos_api_->Renegotiate(id, resources);
-      },
-      id);
+  // Swap in place: the running reservation's own demand is released
+  // inside Renegotiate before the new plan is tried, so no Admissible
+  // screen — it would reject plans that fit only in the freed capacity.
+  return FinishRenegotiation(RelaxationWalk(
+      query_site, content, qos, profile, context, /*screen=*/false,
+      [this, id](const ResourceVector& resources)
+          -> Result<res::ReservationId> {
+        Status status = qos_api_->Renegotiate(id, resources);
+        if (!status.ok()) return status;
+        return id;
+      }));
 }
 
 Result<QualityManager::Admitted> QualityManager::PlanPausedRenegotiation(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
     const UserProfile* profile, AdmissionContext context) {
-  return RenegotiateImpl(
-      query_site, content, qos, profile, std::move(context),
-      [this](const ResourceVector& resources) {
-        // Admission probe: the paused session must be able to carry the
-        // plan *now*, but nothing may stay held — Resume re-admits the
-        // adopted vector when playback actually restarts.
-        Result<res::ReservationId> probe = qos_api_->Reserve(resources);
-        if (!probe.ok()) return probe.status();
-        Status released = qos_api_->Release(*probe);
-        assert(released.ok());
-        return released;
-      },
-      res::kInvalidReservationId);
+  // The paused session must be able to carry the plan *now*, but nothing
+  // may stay held — Resume re-admits the adopted vector when playback
+  // restarts. Admissible is the exact fit test Reserve applies, without
+  // touching the ledger or the reservation counters.
+  return FinishRenegotiation(RelaxationWalk(
+      query_site, content, qos, profile, context, /*screen=*/false,
+      [this](const ResourceVector& resources)
+          -> Result<res::ReservationId> {
+        if (!qos_api_->Admissible(resources)) {
+          return Status::ResourceExhausted("plan does not fit");
+        }
+        return res::kInvalidReservationId;
+      }));
 }
 
 }  // namespace quasaq::core

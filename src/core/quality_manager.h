@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/ids.h"
@@ -78,10 +77,11 @@ class QualityManager {
     PlanGenerator::Options generator;
     bool enable_renegotiation = true;
     int max_renegotiation_rounds = 2;
-    // How many plans of the ranking admission control may try before the
-    // query is rejected. 0 = walk the entire ranking (engineering
-    // improvement); 1 = the paper's semantics, where only the first plan
-    // in ascending cost order is submitted for admission.
+    // How many plans of each round's ranking admission control (and
+    // either renegotiation) may try before relaxing or giving up. 0 =
+    // walk the entire ranking (engineering improvement); 1 = the paper's
+    // semantics, where only the first plan in ascending cost order is
+    // submitted for admission.
     int max_admission_attempts = 0;
     OptimizationGoal goal = OptimizationGoal::kThroughput;
     // Axis weights when goal == kUserSatisfaction.
@@ -145,12 +145,12 @@ class QualityManager {
                                        AdmissionContext context = {});
 
   /// Renegotiation flavor for *paused* sessions, which hold no
-  /// reservation to swap: plans `qos`, admission-probes the best plan
-  /// (reserve + immediate release, so nothing stays held — Resume
-  /// re-admits the adopted vector when playback restarts) and returns
-  /// it with an invalid reservation id. Counts as a renegotiation, not
-  /// as a fresh query: the plan.queries/admitted counters and the
-  /// delivery.admit span stay untouched.
+  /// reservation to swap: plans `qos`, adopts the best plan that passes
+  /// admission control's fit test (Admissible — nothing is reserved or
+  /// released; Resume re-admits the adopted vector when playback
+  /// restarts) and returns it with an invalid reservation id. Counts as
+  /// a renegotiation, not as a fresh query: the plan.queries/admitted
+  /// counters and the delivery.admit span stay untouched.
   Result<Admitted> PlanPausedRenegotiation(
       SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
       const UserProfile* profile = nullptr, AdmissionContext context = {});
@@ -225,26 +225,38 @@ class QualityManager {
   // `qos`'s window and returns an evaluator ranking with it.
   RuntimeCostEvaluator EvaluatorFor(const query::QosRequirement& qos,
                                     AdmissionContext& context) const;
-  // One plan-and-admit attempt at fixed QoS bounds against an open
-  // stream (create or Reset it first). Fills `had_plans`; accounts the
-  // round's generated-plan delta. Does NOT account groups_pruned or
-  // candidates — those are cumulative stream state, accounted once per
-  // stream by AccountStreamSearch.
-  Result<Admitted> TryAdmitWithStream(PlanStream& stream, bool* had_plans,
-                                      const AdmissionContext& context);
-  // Folds the finished stream's pruning win and pre-pruning candidate
-  // count into stats/metrics.
-  void AccountStreamSearch(const PlanStream& stream);
-  // Shared renegotiation walk, relaxation rounds reusing the stream;
-  // `adopt` applies an admittable resource vector (swap-in-place for
-  // live sessions, reserve-probe for paused ones) and `reservation` is
-  // what the returned Admitted carries.
-  Result<Admitted> RenegotiateImpl(
-      SiteId query_site, LogicalOid content,
-      const query::QosRequirement& qos, const UserProfile* profile,
-      AdmissionContext context,
-      const std::function<Status(const ResourceVector&)>& adopt,
-      res::ReservationId reservation);
+  // What one relaxation walk found: the adopted plan (or why there is
+  // none: the stream's failure, kResourceExhausted when plans were seen
+  // but none adopted, kNotFound when no window yielded any), how many
+  // relaxed rounds ran after round 0, and the plans it materialized.
+  struct WalkResult {
+    Result<Admitted> admitted = Status::ResourceExhausted("no admittable plan");
+    bool any_plans = false;
+    int rounds = 0;
+    size_t plans = 0;
+  };
+
+  // Paper §3.2's one renegotiation mechanism, shared by admission and
+  // both renegotiation flavors. Opens one PlanStream for `qos` and hands
+  // its plans, in ranking order and at most max_admission_attempts per
+  // round, to `adopt` (ResourceVector -> Result<res::ReservationId>)
+  // until one is adopted. When none is and renegotiation is on, each
+  // further round relaxes the window along `profile`'s least-valued
+  // axis and re-arms the same stream (PlanStream::Reset), for up to
+  // max_renegotiation_rounds rounds. With `screen`, plans Admissible
+  // rejects are skipped without calling `adopt` or opening a
+  // plan.reserve span. Accounts generated plans, candidates, pruned
+  // groups, relaxations and the cutoff margin; callers keep only their
+  // own counters and messages.
+  template <typename Adopt>
+  WalkResult RelaxationWalk(SiteId query_site, LogicalOid content,
+                            const query::QosRequirement& qos,
+                            const UserProfile* profile,
+                            AdmissionContext& context, bool screen,
+                            const Adopt& adopt);
+  // Counts one renegotiation, however many relaxation rounds its walk
+  // retried, and marks the adopted plan renegotiated.
+  Result<Admitted> FinishRenegotiation(WalkResult walk);
 
   res::CompositeQosApi* qos_api_;
   PlanGenerator generator_;

@@ -333,8 +333,8 @@ Result<MediaDbSystem::DeliveryOutcome> MediaDbSystem::ChangeSessionQos(
   context.trace_track = track;
   context.now = now;
   // A paused session holds no reservation to renegotiate in place: the
-  // quality manager admission-probes the new plan (reserve + immediate
-  // release, nothing stays held) — Resume re-admits the adopted vector
+  // quality manager adopts the best plan that passes admission control's
+  // fit test (nothing is reserved) — Resume re-admits the adopted vector
   // when playback actually restarts.
   Result<QualityManager::Admitted> admitted =
       record->paused

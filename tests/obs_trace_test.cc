@@ -301,9 +301,22 @@ TEST(TraceGoldenTest, PausedRenegotiationCountsOnceAndNotAsQuery) {
   high.range.min_resolution = media::kResolutionSvcd;
   high.range.min_color_depth_bits = 24;
   high.range.min_frame_rate = 20.0;
+  // The paused replan only tests the fit: it reserves nothing, so the
+  // reservation counters do not move.
+  obs::MetricsRegistry& metrics = system.observability().metrics();
+  obs::Counter* accepted =
+      metrics.GetCounter("quasaq_resource_reserve_accepted_total", "");
+  obs::Counter* rejected =
+      metrics.GetCounter("quasaq_resource_reserve_rejected_total", "");
+  ASSERT_NE(accepted, nullptr);
+  ASSERT_NE(rejected, nullptr);
+  const double accepted_before = accepted->value();
+  const double rejected_before = rejected->value();
   Result<MediaDbSystem::DeliveryOutcome> replanned =
       system.ChangeSessionQos(start.session, high);
   ASSERT_TRUE(replanned.ok()) << replanned.status().ToString();
+  EXPECT_EQ(accepted->value(), accepted_before);
+  EXPECT_EQ(rejected->value(), rejected_before);
 
   ASSERT_TRUE(system.ResumeSession(start.session).ok());
   simulator.RunAll();

@@ -120,6 +120,41 @@ TEST(PlanExecutorTest, RelayedPlanForwardsThroughTheSourceSite) {
   EXPECT_NEAR((*delivery)->session().delivered_frames(), 479, 2);
 }
 
+// Pool admission and the DSRT schedulers must agree on what a relayed
+// plan costs each CPU: the delivery site carries the stream's work plus
+// the forwarding share, the source site the forwarding share alone —
+// both exactly as the plan's vector charges them (× the headroom).
+TEST(PlanExecutorTest, RelayedPlanReservesTheVectorsCpuAtBothEnds) {
+  sim::Simulator simulator;
+  PlanExecutor::Options options;
+  PlanExecutor executor(&simulator, options);
+  media::ReplicaInfo replica = MakeReplica(1, 1, 20.0);
+  Plan plan;
+  plan.replica_oid = replica.id;
+  plan.source_site = replica.site;
+  plan.delivery_site = SiteId(0);
+  FinalizePlan(plan, replica, PlanCostConstants{});
+  ASSERT_TRUE(plan.IsRelayed());
+
+  Result<std::unique_ptr<RunningDelivery>> delivery =
+      executor.Execute(plan, replica);
+  ASSERT_TRUE(delivery.ok()) << delivery.status().ToString();
+  auto reserved = [&](SiteId site) {
+    return FromLedgerUnits(ToLedgerUnits(
+        plan.resources.Get({site, ResourceKind::kCpu}) *
+        options.cpu_reservation_factor));
+  };
+  EXPECT_EQ(executor.SchedulerFor(SiteId(0)).reserved_fraction(),
+            reserved(SiteId(0)));
+  EXPECT_EQ(executor.SchedulerFor(SiteId(1)).reserved_fraction(),
+            reserved(SiteId(1)));
+  // The delivery site's share exceeds the stream's own work by the
+  // forwarding share.
+  EXPECT_GT(plan.resources.Get({SiteId(0), ResourceKind::kCpu}),
+            (*delivery)->session().CpuDemandFraction());
+  simulator.RunAll();
+}
+
 TEST(PlanExecutorTest, RelayAddsPipelineLatencyNotJitter) {
   sim::Simulator simulator;
   PlanExecutor::Options options;

@@ -235,7 +235,8 @@ class StreamedVsEagerTest : public PlanStreamTest {
   }
 
   // Walks the oracle ranking under `qos`, then each relaxed window the
-  // profile allows, and returns the first plan `adopt` accepts.
+  // profile allows, and returns the first plan `adopt` accepts among the
+  // first max_admission_attempts plans of each round (all when 0).
   template <typename Adopt>
   Result<QualityManager::Admitted> OracleWalk(
       const query::QosRequirement& qos, const UserProfile* profile,
@@ -248,8 +249,14 @@ class StreamedVsEagerTest : public PlanStreamTest {
                         !profile->RelaxForRenegotiation(bounds.range))) {
         break;
       }
+      ++oracle_rounds_;
       std::vector<Plan> ranking = OracleRanking(bounds);
       any_plans = any_plans || !ranking.empty();
+      if (options_.max_admission_attempts > 0 &&
+          ranking.size() >
+              static_cast<size_t>(options_.max_admission_attempts)) {
+        ranking.resize(static_cast<size_t>(options_.max_admission_attempts));
+      }
       for (Plan& plan : ranking) {
         Result<res::ReservationId> adopted = adopt(plan);
         if (!adopted.ok()) continue;
@@ -273,6 +280,15 @@ class StreamedVsEagerTest : public PlanStreamTest {
                         }
                         return oracle_api_.Reserve(plan.resources);
                       });
+  }
+
+  // The oracle's in-place swap of reservation `id` to `plan`.
+  auto OracleRenegotiate(res::ReservationId id) {
+    return [this, id](const Plan& plan) -> Result<res::ReservationId> {
+      Status status = oracle_api_.Renegotiate(id, plan.resources);
+      if (!status.ok()) return status;
+      return id;
+    };
   }
 
   void ExpectSame(const Result<QualityManager::Admitted>& oracle,
@@ -343,6 +359,7 @@ class StreamedVsEagerTest : public PlanStreamTest {
   std::unique_ptr<PlanGenerator> oracle_generator_;
   std::unique_ptr<QualityManager> streamed_;
   size_t oracle_generated_ = 0;
+  int oracle_rounds_ = 0;  // rankings OracleWalk walked, relaxed or not
 };
 
 TEST_F(StreamedVsEagerTest, AdmitsIdenticalPlansAcrossScenarios) {
@@ -387,19 +404,135 @@ TEST_F(StreamedVsEagerTest, RenegotiateDeliveryMatchesOracle) {
   query::QosRequirement stricter;
   stricter.range.min_frame_rate = 20.0;
   stricter.range.min_resolution = media::kResolutionVcd;
-  Result<QualityManager::Admitted> oracle = OracleWalk(
-      stricter, nullptr,
-      [this, id = oracle_id](const Plan& plan) -> Result<res::ReservationId> {
-        Status status = oracle_api_.Renegotiate(id, plan.resources);
-        if (!status.ok()) return status;
-        return id;
-      });
+  Result<QualityManager::Admitted> oracle =
+      OracleWalk(stricter, nullptr, OracleRenegotiate(oracle_id));
   if (oracle.ok()) oracle->renegotiated = true;
   Result<QualityManager::Admitted> streamed = streamed_->RenegotiateDelivery(
       streamed_id, SiteId(0), LogicalOid(0), stricter);
   ExpectSame(oracle, streamed);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   EXPECT_EQ(streamed->reservation, streamed_id);
+}
+
+// A paused session holds no reservation: its renegotiation adopts the
+// first plan admission control's fit test accepts and holds nothing —
+// neither the pool's usage nor the reservation counters move.
+TEST_F(StreamedVsEagerTest, PausedRenegotiationMatchesOracleAndHoldsNothing) {
+  ExpectSameOutcome(WideQos());
+  LoadNetwork();
+  UserProfile profile(UserId(1), "user");
+  query::QosRequirement qos;
+  qos.range.min_resolution = media::kResolutionSvcd;
+  qos.range.min_color_depth_bits = 24;
+  qos.range.min_frame_rate = 20.0;
+
+  const auto usage_before = streamed_pool_.UtilizationSnapshot();
+  const res::CompositeQosApi::Stats api_before = streamed_api_.stats();
+  Result<QualityManager::Admitted> oracle = OracleWalk(
+      qos, &profile, [this](const Plan& plan) -> Result<res::ReservationId> {
+        if (!oracle_api_.Admissible(plan.resources)) {
+          return Status::ResourceExhausted("inadmissible");
+        }
+        return res::kInvalidReservationId;
+      });
+  if (oracle.ok()) oracle->renegotiated = true;
+  Result<QualityManager::Admitted> streamed =
+      streamed_->PlanPausedRenegotiation(SiteId(0), LogicalOid(0), qos,
+                                         &profile);
+  ExpectSame(oracle, streamed);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(streamed->reservation, res::kInvalidReservationId);
+  // The requested window is unservable on the loaded links: the walk
+  // adopted a relaxed plan.
+  EXPECT_GT(oracle_rounds_, 1);
+
+  EXPECT_EQ(streamed_pool_.UtilizationSnapshot(), usage_before);
+  const res::CompositeQosApi::Stats api_after = streamed_api_.stats();
+  EXPECT_EQ(api_after.admitted, api_before.admitted);
+  EXPECT_EQ(api_after.rejected, api_before.rejected);
+  EXPECT_EQ(api_after.released, api_before.released);
+  EXPECT_EQ(api_after.renegotiations, api_before.renegotiations);
+  EXPECT_EQ(api_after.renegotiation_failures,
+            api_before.renegotiation_failures);
+}
+
+// max_admission_attempts caps every walk, in-place renegotiation too:
+// only the top plan of each round's ranking may be tried.
+TEST_F(StreamedVsEagerTest, AttemptsCapAppliesToRenegotiateDelivery) {
+  QualityManager::Options options;
+  options.goal = QualityManager::OptimizationGoal::kUserSatisfaction;
+  options.max_admission_attempts = 1;
+  UseOptions(options);
+  auto [oracle_id, streamed_id] = ExpectSameOutcome(WideQos());
+  ASSERT_NE(streamed_id, res::kInvalidReservationId);
+  LoadNetwork();
+  UserProfile profile(UserId(1), "user");
+  query::QosRequirement qos;
+  qos.range.min_resolution = media::kResolutionSvcd;
+  qos.range.min_color_depth_bits = 24;
+  qos.range.min_frame_rate = 20.0;
+
+  Result<QualityManager::Admitted> oracle =
+      OracleWalk(qos, &profile, OracleRenegotiate(oracle_id));
+  if (oracle.ok()) oracle->renegotiated = true;
+  Result<QualityManager::Admitted> streamed = streamed_->RenegotiateDelivery(
+      streamed_id, SiteId(0), LogicalOid(0), qos, &profile);
+  ExpectSame(oracle, streamed);
+  // Uncapped, the third window's ninth plan fits; capped, each of the
+  // three windows tries only its top plan and the swap is refused.
+  EXPECT_EQ(streamed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(oracle_api_.stats().renegotiation_failures, 3u);
+  EXPECT_EQ(streamed_api_.stats().renegotiation_failures, 3u);
+}
+
+// A pool that refuses every plan: with a profile that relaxes twice,
+// admission and in-place renegotiation both walk all three windows
+// before giving up with kResourceExhausted, exactly like the oracle.
+TEST_F(StreamedVsEagerTest, RefusalRunsEveryRelaxedRound) {
+  obs::Observability observability;
+  streamed_->set_observability(&observability);
+  // A held reservation that frees no CPU when swapped out, then every
+  // CPU filled: no plan fits, whatever the window.
+  ResourceVector held;
+  held.Add({SiteId(0), ResourceKind::kDiskBandwidth}, 1.0);
+  Result<res::ReservationId> oracle_id = oracle_api_.Reserve(held);
+  Result<res::ReservationId> streamed_id = streamed_api_.Reserve(held);
+  ASSERT_TRUE(oracle_id.ok());
+  ASSERT_TRUE(streamed_id.ok());
+  ResourceVector cpu;
+  for (SiteId site : sites_) cpu.Add({site, ResourceKind::kCpu}, 1.0);
+  ASSERT_TRUE(oracle_pool_.Acquire(cpu).ok());
+  ASSERT_TRUE(streamed_pool_.Acquire(cpu).ok());
+
+  UserProfile profile(UserId(1), "user");
+  query::QosRequirement qos;
+  qos.range.min_resolution = media::kResolutionSvcd;
+  qos.range.min_color_depth_bits = 24;
+  qos.range.min_frame_rate = 20.0;
+
+  Result<QualityManager::Admitted> oracle = OracleAdmit(qos, &profile);
+  Result<QualityManager::Admitted> streamed =
+      streamed_->AdmitQuery(SiteId(0), LogicalOid(0), qos, &profile);
+  ExpectSame(oracle, streamed);
+  EXPECT_EQ(streamed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(oracle_rounds_, 3);
+  EXPECT_EQ(streamed_->stats().rejected_no_resources, 1u);
+
+  oracle = OracleWalk(qos, &profile, OracleRenegotiate(*oracle_id));
+  streamed = streamed_->RenegotiateDelivery(*streamed_id, SiteId(0),
+                                            LogicalOid(0), qos, &profile);
+  ExpectSame(oracle, streamed);
+  EXPECT_EQ(streamed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(oracle_rounds_, 6);
+  EXPECT_EQ(streamed_api_.Find(*streamed_id)->ToString(), held.ToString());
+
+  obs::MetricsRegistry& metrics = observability.metrics();
+  EXPECT_EQ(metrics.GetCounter("quasaq_plan_relaxations_total", "")->value(),
+            4.0);
+  EXPECT_EQ(
+      metrics.GetCounter("quasaq_plan_renegotiations_total", "")->value(),
+      1.0);
+  streamed_->set_observability(nullptr);
 }
 
 TEST_F(StreamedVsEagerTest, ExplainListingsAreIdentical) {
