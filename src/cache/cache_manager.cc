@@ -5,11 +5,13 @@
 namespace quasaq::cache {
 
 CacheManager::CacheManager(const std::vector<SiteId>& sites,
-                           const Options& options)
+                           const Options& options,
+                           obs::MetricsRegistry& metrics)
     : sites_(sites), options_(options) {
   caches_.reserve(sites_.size());
-  for (size_t i = 0; i < sites_.size(); ++i) {
-    caches_.push_back(std::make_unique<SegmentCache>(options_.cache));
+  for (SiteId site : sites_) {
+    caches_.push_back(std::make_unique<SegmentCache>(
+        options_.cache, metrics, std::to_string(site.value())));
   }
 }
 
@@ -51,12 +53,6 @@ void CacheManager::OnStream(SiteId site, const media::ReplicaInfo& replica,
 
 void CacheManager::EraseReplica(PhysicalOid replica) {
   for (auto& cache : caches_) cache->EraseReplica(replica);
-}
-
-void CacheManager::set_metrics(obs::MetricsRegistry* registry) {
-  for (size_t i = 0; i < caches_.size(); ++i) {
-    caches_[i]->set_metrics(registry, std::to_string(sites_[i].value()));
-  }
 }
 
 SegmentCache::Counters CacheManager::TotalCounters() const {

@@ -48,7 +48,11 @@ class CacheManager : public CacheView {
     SegmentLayout::Options layout;
   };
 
-  CacheManager(const std::vector<SiteId>& sites, const Options& options);
+  /// Each site's cache counts into `metrics` as one site-labeled
+  /// series per counter, so the registry totals reconcile with
+  /// TotalCounters(). `metrics` must outlive the manager.
+  CacheManager(const std::vector<SiteId>& sites, const Options& options,
+               obs::MetricsRegistry& metrics);
 
   /// The cache of `site`, or nullptr for unknown sites.
   SegmentCache* at(SiteId site);
@@ -69,11 +73,6 @@ class CacheManager : public CacheView {
 
   /// Counters summed over all sites.
   SegmentCache::Counters TotalCounters() const;
-
-  /// Attaches every site's cache to `registry` as one site-labeled
-  /// family per counter (nullptr detaches). Call before streaming so
-  /// the registry totals reconcile with TotalCounters().
-  void set_metrics(obs::MetricsRegistry* registry);
 
   const SegmentLayout::Options& layout_options() const {
     return options_.layout;

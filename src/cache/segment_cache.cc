@@ -6,47 +6,61 @@
 
 namespace quasaq::cache {
 
-SegmentCache::SegmentCache(const Options& options)
-    : SegmentCache(options, MakeEvictionPolicy(options.policy)) {}
+SegmentCache::SegmentCache(const Options& options,
+                           obs::MetricsRegistry& metrics,
+                           std::string_view site_label)
+    : SegmentCache(options, MakeEvictionPolicy(options.policy), metrics,
+                   site_label) {}
 
 SegmentCache::SegmentCache(const Options& options,
-                           std::unique_ptr<EvictionPolicy> policy)
-    : options_(options), policy_(std::move(policy)) {
+                           std::unique_ptr<EvictionPolicy> policy,
+                           obs::MetricsRegistry& metrics,
+                           std::string_view site_label)
+    : options_(options),
+      policy_(std::move(policy)),
+      metrics_(ResolveMetrics(metrics, site_label)) {
   assert(policy_ != nullptr && "unknown eviction policy name");
   assert(options_.capacity_kb > 0.0);
 }
 
-void SegmentCache::set_metrics(obs::MetricsRegistry* registry,
-                               std::string_view site_label) {
-  MutexLock lock(&mu_);
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
+SegmentCache::Metrics SegmentCache::ResolveMetrics(
+    obs::MetricsRegistry& registry, std::string_view site_label) {
   const obs::Labels labels = {{"site", std::string(site_label)}};
-  metrics_.hits = registry->GetCounter("quasaq_cache_hits_total",
-                                       "Segment reads served from memory",
-                                       labels);
-  metrics_.misses = registry->GetCounter(
-      "quasaq_cache_misses_total", "Segment reads that went to disk",
-      labels);
-  metrics_.inserts = registry->GetCounter(
-      "quasaq_cache_inserts_total", "Segments filled into the cache",
-      labels);
-  metrics_.evictions = registry->GetCounter(
-      "quasaq_cache_evictions_total", "Segments displaced by pressure",
-      labels);
-  metrics_.rejected = registry->GetCounter(
-      "quasaq_cache_rejected_total",
-      "Segments never admitted (larger than the cache)", labels);
-  metrics_.hit_kb = registry->GetCounter("quasaq_cache_hit_kb_total",
-                                         "KB served from memory", labels);
-  metrics_.miss_kb = registry->GetCounter("quasaq_cache_miss_kb_total",
-                                          "KB read from disk", labels);
-  metrics_.evicted_kb = registry->GetCounter(
-      "quasaq_cache_evicted_kb_total", "KB displaced by pressure", labels);
-  metrics_.used_kb = registry->GetGauge(
-      "quasaq_cache_used_kb", "Resident KB of cached segments", labels);
+  return Metrics{
+      registry.GetCounter("quasaq_cache_hits_total",
+                          "Segment reads served from memory", labels),
+      registry.GetCounter("quasaq_cache_misses_total",
+                          "Segment reads that went to disk", labels),
+      registry.GetCounter("quasaq_cache_inserts_total",
+                          "Segments filled into the cache", labels),
+      registry.GetCounter("quasaq_cache_evictions_total",
+                          "Segments displaced by pressure", labels),
+      registry.GetCounter("quasaq_cache_rejected_total",
+                          "Segments never admitted (larger than the cache)",
+                          labels),
+      registry.GetCounter("quasaq_cache_hit_kb_total",
+                          "KB served from memory", labels),
+      registry.GetCounter("quasaq_cache_miss_kb_total", "KB read from disk",
+                          labels),
+      registry.GetCounter("quasaq_cache_evicted_kb_total",
+                          "KB displaced by pressure", labels),
+      registry.GetGauge("quasaq_cache_used_kb",
+                        "Resident KB of cached segments", labels),
+  };
+}
+
+SegmentCache::Counters SegmentCache::CountersLocked() const {
+  Counters counters;
+  counters.hits = metrics_.hits->count();
+  counters.misses = metrics_.misses->count();
+  counters.inserts = metrics_.inserts->count();
+  counters.evictions = metrics_.evictions->count();
+  counters.rejected = metrics_.rejected->count();
+  counters.hit_kb = metrics_.hit_kb->value();
+  counters.miss_kb = metrics_.miss_kb->value();
+  counters.inserted_kb = inserted_kb_;
+  counters.evicted_kb = metrics_.evicted_kb->value();
+  return counters;
 }
 
 void SegmentCache::Touch(SegmentMeta& meta, SimTime now) {
@@ -79,12 +93,8 @@ bool SegmentCache::EvictFor(double needed_kb, SimTime now) {
     if (victim == nullptr) return false;  // empty yet still no room
     const SegmentKey victim_key = victim->key;
     const double victim_kb = victim->size_kb;
-    ++counters_.evictions;
-    counters_.evicted_kb += victim_kb;
-    if (metrics_.evictions != nullptr) {
-      metrics_.evictions->Increment();
-      metrics_.evicted_kb->Increment(victim_kb);
-    }
+    metrics_.evictions->Increment();
+    metrics_.evicted_kb->Increment(victim_kb);
     used_kb_ -= victim_kb;
     double& replica_kb = replica_kb_[victim_key.replica];
     replica_kb = std::max(0.0, replica_kb - victim_kb);
@@ -109,8 +119,7 @@ bool SegmentCache::InsertLocked(const SegmentKey& key, double size_kb,
     return true;
   }
   if (size_kb > options_.capacity_kb || !EvictFor(size_kb, now)) {
-    ++counters_.rejected;
-    if (metrics_.rejected != nullptr) metrics_.rejected->Increment();
+    metrics_.rejected->Increment();
     return false;
   }
   SegmentMeta meta;
@@ -124,12 +133,9 @@ bool SegmentCache::InsertLocked(const SegmentKey& key, double size_kb,
   used_kb_ += size_kb;
   replica_kb_[key.replica] += size_kb;
   ++replica_segments_[key.replica];
-  ++counters_.inserts;
-  counters_.inserted_kb += size_kb;
-  if (metrics_.inserts != nullptr) {
-    metrics_.inserts->Increment();
-    metrics_.used_kb->Sample(now, used_kb_);
-  }
+  inserted_kb_ += size_kb;
+  metrics_.inserts->Increment();
+  metrics_.used_kb->Sample(now, used_kb_);
   return true;
 }
 
@@ -138,21 +144,13 @@ bool SegmentCache::Access(const SegmentKey& key, double size_kb,
   MutexLock lock(&mu_);
   auto it = segments_.find(key);
   if (it != segments_.end()) {
-    ++counters_.hits;
-    counters_.hit_kb += it->second.size_kb;
-    if (metrics_.hits != nullptr) {
-      metrics_.hits->Increment();
-      metrics_.hit_kb->Increment(it->second.size_kb);
-    }
+    metrics_.hits->Increment();
+    metrics_.hit_kb->Increment(it->second.size_kb);
     Touch(it->second, now);
     return true;
   }
-  ++counters_.misses;
-  counters_.miss_kb += size_kb;
-  if (metrics_.misses != nullptr) {
-    metrics_.misses->Increment();
-    metrics_.miss_kb->Increment(size_kb);
-  }
+  metrics_.misses->Increment();
+  metrics_.miss_kb->Increment(size_kb);
   InsertLocked(key, size_kb, now);
   return false;
 }
@@ -205,15 +203,16 @@ int SegmentCache::CachedSegmentsOf(PhysicalOid replica) const {
 
 std::string SegmentCache::ReportString() const {
   MutexLock lock(&mu_);
+  const Counters counters = CountersLocked();
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "cache[%s]: %.0f/%.0f KB in %zu segments, hits=%llu "
                 "misses=%llu (ratio %.2f) evicted=%.0f KB",
                 std::string(policy_->name()).c_str(), used_kb_,
                 options_.capacity_kb, segments_.size(),
-                static_cast<unsigned long long>(counters_.hits),
-                static_cast<unsigned long long>(counters_.misses),
-                counters_.HitRatio(), counters_.evicted_kb);
+                static_cast<unsigned long long>(counters.hits),
+                static_cast<unsigned long long>(counters.misses),
+                counters.HitRatio(), counters.evicted_kb);
   return std::string(buf);
 }
 

@@ -22,11 +22,12 @@
 // sequence.
 //
 // Thread-safe: this is the per-site lock of the cache subsystem. One
-// mutex guards the segment table, the per-replica byte accounting, and
-// the hit/miss counters, so concurrent readers, fills, and evictions on
-// one site serialize here while different sites proceed in parallel
-// (CacheManager holds no lock of its own). SegmentCache::mu_ is a leaf
-// lock: nothing else is acquired while it is held.
+// mutex guards the segment table and the per-replica byte accounting,
+// and every counter is bumped under it, so concurrent readers, fills,
+// and evictions on one site serialize here while different sites
+// proceed in parallel (CacheManager holds no lock of its own).
+// SegmentCache::mu_ is a leaf lock: nothing else is acquired while it is
+// held.
 
 namespace quasaq::cache {
 
@@ -61,10 +62,16 @@ class SegmentCache {
     }
   };
 
-  explicit SegmentCache(const Options& options);
+  /// Counts into `metrics` as a series labeled site=`site_label`
+  /// (normally the site id); counters() reads those series back, so no
+  /// other cache may share the label in `metrics`. The registry must
+  /// outlive the cache.
+  SegmentCache(const Options& options, obs::MetricsRegistry& metrics,
+               std::string_view site_label);
   /// Test seam: takes an explicit policy instance.
   SegmentCache(const Options& options,
-               std::unique_ptr<EvictionPolicy> policy);
+               std::unique_ptr<EvictionPolicy> policy,
+               obs::MetricsRegistry& metrics, std::string_view site_label);
 
   /// The streaming read path: returns true (a hit) when `key` is
   /// resident, touching its recency/popularity; on a miss the segment is
@@ -106,38 +113,35 @@ class SegmentCache {
     MutexLock lock(&mu_);
     return segments_.size();
   }
-  /// Snapshot of the counters (by value: the struct is shared state).
+  /// Snapshot of the counters, read under mu_ so the fields agree.
   Counters counters() const QUASAQ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return counters_;
+    return CountersLocked();
   }
   std::string_view policy_name() const { return policy_->name(); }
 
   /// One-line operator report: policy, fill, hit ratio.
   std::string ReportString() const QUASAQ_EXCLUDES(mu_);
 
-  /// Mirrors the counters into `registry` as a site-labeled series
-  /// (`site_label` is the label value, normally the site id). nullptr
-  /// detaches. The registry must outlive the cache; call before the
-  /// first Access so registry totals match counters().
-  void set_metrics(obs::MetricsRegistry* registry, std::string_view site_label)
-      QUASAQ_EXCLUDES(mu_);
-
  private:
-  // Registry handles resolved once in set_metrics; all nullptr when
-  // unobserved. Emitted under mu_ — the registry's locks are leaves,
-  // consistent with mu_ being otherwise leaf-level.
+  // Registry handles, resolved once at construction. Bumped under mu_ —
+  // the registry's locks are leaves, consistent with mu_ being
+  // otherwise leaf-level.
   struct Metrics {
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* inserts = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* hit_kb = nullptr;
-    obs::Counter* miss_kb = nullptr;
-    obs::Counter* evicted_kb = nullptr;
-    obs::Gauge* used_kb = nullptr;
+    obs::Counter* hits;
+    obs::Counter* misses;
+    obs::Counter* inserts;
+    obs::Counter* evictions;
+    obs::Counter* rejected;
+    obs::Counter* hit_kb;
+    obs::Counter* miss_kb;
+    obs::Counter* evicted_kb;
+    obs::Gauge* used_kb;
   };
+  static Metrics ResolveMetrics(obs::MetricsRegistry& registry,
+                                std::string_view site_label);
+
+  Counters CountersLocked() const QUASAQ_REQUIRES(mu_);
 
   void Touch(SegmentMeta& meta, SimTime now) QUASAQ_REQUIRES(mu_);
   // Evicts lowest-scored segments until `needed_kb` fits. Returns false
@@ -149,6 +153,7 @@ class SegmentCache {
 
   Options options_;                         // immutable after construction
   std::unique_ptr<EvictionPolicy> policy_;  // immutable after construction
+  const Metrics metrics_;                   // immutable after construction
   mutable Mutex mu_;
   std::unordered_map<SegmentKey, SegmentMeta> segments_
       QUASAQ_GUARDED_BY(mu_);
@@ -157,8 +162,8 @@ class SegmentCache {
   std::unordered_map<PhysicalOid, int> replica_segments_
       QUASAQ_GUARDED_BY(mu_);
   double used_kb_ QUASAQ_GUARDED_BY(mu_) = 0.0;
-  Counters counters_ QUASAQ_GUARDED_BY(mu_);
-  Metrics metrics_ QUASAQ_GUARDED_BY(mu_);
+  // The one Counters field with no exported series.
+  double inserted_kb_ QUASAQ_GUARDED_BY(mu_) = 0.0;
 };
 
 }  // namespace quasaq::cache

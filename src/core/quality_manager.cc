@@ -10,94 +10,92 @@ QualityManager::QualityManager(meta::DistributedMetadataEngine* metadata,
                                res::CompositeQosApi* qos_api,
                                CostModel* cost_model,
                                std::vector<SiteId> sites,
-                               const Options& options)
+                               const Options& options,
+                               obs::Observability& observability)
     : qos_api_(qos_api),
       generator_(metadata, std::move(sites), options.generator),
       cost_model_(cost_model),
-      options_(options) {
+      options_(options),
+      metrics_(ResolveMetrics(observability.metrics())),
+      tracer_(observability.tracer()) {
   assert(qos_api_ != nullptr);
   assert(cost_model_ != nullptr);
 }
 
-QualityManager::Stats QualityManager::stats() const {
-  Stats snapshot;
-  snapshot.queries = stats_.queries.load(std::memory_order_relaxed);
-  snapshot.admitted = stats_.admitted.load(std::memory_order_relaxed);
-  snapshot.rejected_no_plan =
-      stats_.rejected_no_plan.load(std::memory_order_relaxed);
-  snapshot.rejected_no_resources =
-      stats_.rejected_no_resources.load(std::memory_order_relaxed);
-  snapshot.renegotiated = stats_.renegotiated.load(std::memory_order_relaxed);
-  snapshot.plans_generated =
-      stats_.plans_generated.load(std::memory_order_relaxed);
-  snapshot.groups_pruned =
-      stats_.groups_pruned.load(std::memory_order_relaxed);
-  return snapshot;
-}
-
-void QualityManager::set_observability(obs::Observability* observability) {
-  if (observability == nullptr) {
-    metrics_ = Metrics{};
-    tracer_ = nullptr;
-    return;
-  }
-  obs::MetricsRegistry& reg = observability->metrics();
-  metrics_.queries = reg.GetCounter("quasaq_plan_queries_total",
-                                    "Delivery queries planned");
-  metrics_.admitted = reg.GetCounter("quasaq_plan_admitted_total",
-                                     "Queries that passed admission control");
-  metrics_.rejected_no_plan =
+QualityManager::Metrics QualityManager::ResolveMetrics(
+    obs::MetricsRegistry& reg) {
+  return Metrics{
+      reg.GetCounter("quasaq_plan_queries_total", "Delivery queries planned"),
+      reg.GetCounter("quasaq_plan_admitted_total",
+                     "Queries that passed admission control"),
       reg.GetCounter("quasaq_plan_rejected_no_plan_total",
-                     "Queries whose QoS no stored replica satisfies");
-  metrics_.rejected_no_resources =
+                     "Queries whose QoS no stored replica satisfies"),
       reg.GetCounter("quasaq_plan_rejected_no_resources_total",
-                     "Queries whose every plan failed admission");
-  metrics_.relaxations =
+                     "Queries whose every plan failed admission"),
       reg.GetCounter("quasaq_plan_relaxations_total",
-                     "Second-chance QoS relaxation rounds attempted");
-  metrics_.renegotiations =
+                     "Second-chance QoS relaxation rounds attempted"),
       reg.GetCounter("quasaq_plan_renegotiations_total",
                      "Mid-playback renegotiations planned (counted once "
                      "per renegotiation, however many relaxation rounds "
-                     "it retried)");
-  metrics_.generated = reg.GetCounter("quasaq_plan_generated_total",
-                                      "Plans materialized and costed");
-  metrics_.candidates = reg.GetCounter(
-      "quasaq_plan_candidates_total",
-      "(target, drop, encryption) candidates of expanded groups, before "
-      "static pruning");
-  metrics_.groups_pruned =
+                     "it retried)"),
+      reg.GetCounter("quasaq_plan_generated_total",
+                     "Plans materialized and costed"),
+      reg.GetCounter(
+          "quasaq_plan_candidates_total",
+          "(target, drop, encryption) candidates of expanded groups, before "
+          "static pruning"),
       reg.GetCounter("quasaq_plan_groups_pruned_total",
-                     "Search branches the LRB lower bound cut off");
-  metrics_.per_query = reg.GetHistogram(
-      "quasaq_plan_generated_per_query_count",
-      "Plans materialized per query (prefix the admission walk expanded)",
-      obs::HistogramOptions{/*first_bound=*/1.0, /*growth=*/2.0,
-                            /*bucket_count=*/12});
-  metrics_.cutoff_margin = reg.GetHistogram(
-      "quasaq_plan_cutoff_margin_ratio",
-      "Frontier lower bound over admitted cost when enumeration stopped",
-      obs::HistogramOptions{/*first_bound=*/0.25, /*growth=*/1.5,
-                            /*bucket_count=*/12});
-  tracer_ = &observability->tracer();
+                     "Search branches the LRB lower bound cut off"),
+      reg.GetHistogram(
+          "quasaq_plan_generated_per_query_count",
+          "Plans materialized per query (prefix the admission walk expanded)",
+          obs::HistogramOptions{/*first_bound=*/1.0, /*growth=*/2.0,
+                                /*bucket_count=*/12}),
+      reg.GetHistogram(
+          "quasaq_plan_cutoff_margin_ratio",
+          "Frontier lower bound over admitted cost when enumeration stopped",
+          obs::HistogramOptions{/*first_bound=*/0.25, /*growth=*/1.5,
+                                /*bucket_count=*/12}),
+  };
+}
+
+QualityManager::Stats QualityManager::stats() const {
+  Stats snapshot;
+  snapshot.queries = metrics_.queries->count();
+  snapshot.admitted = metrics_.admitted->count();
+  snapshot.rejected_no_plan = metrics_.rejected_no_plan->count();
+  snapshot.rejected_no_resources = metrics_.rejected_no_resources->count();
+  snapshot.renegotiated = renegotiated_.load(std::memory_order_relaxed);
+  snapshot.plans_generated = metrics_.generated->count();
+  snapshot.groups_pruned = metrics_.groups_pruned->count();
+  return snapshot;
+}
+
+void QualityManager::AccountSearch(const PlanStream& stream) {
+  metrics_.generated->Increment(
+      static_cast<double>(stream.stats().plans_generated));
+  metrics_.candidates->Increment(
+      static_cast<double>(stream.stats().candidates));
+  metrics_.groups_pruned->Increment(
+      static_cast<double>(stream.groups_pruned()));
 }
 
 void QualityManager::TraceBegin(const AdmissionContext& context,
                                 const char* name, obs::Tracer::Args args) {
-  if (tracer_ == nullptr || context.trace_track == 0) return;
-  tracer_->Begin(context.trace_track, name, context.now, std::move(args));
+  if (context.trace_track == 0) return;
+  tracer_.Begin(context.trace_track, name, context.now, std::move(args));
 }
 
 void QualityManager::TraceEnd(const AdmissionContext& context,
                               obs::Tracer::Args args) {
-  if (tracer_ == nullptr || context.trace_track == 0) return;
-  tracer_->End(context.trace_track, context.now, std::move(args));
+  if (context.trace_track == 0) return;
+  tracer_.End(context.trace_track, context.now, std::move(args));
 }
 
 void QualityManager::TraceInstant(const AdmissionContext& context,
                                   const char* name) {
-  if (tracer_ == nullptr || context.trace_track == 0) return;
-  tracer_->Instant(context.trace_track, name, context.now);
+  if (context.trace_track == 0) return;
+  tracer_.Instant(context.trace_track, name, context.now);
 }
 
 void QualityManager::PopulateDefaultTranscodeTargets(
@@ -159,7 +157,7 @@ QualityManager::WalkResult QualityManager::RelaxationWalk(
           !profile->RelaxForRenegotiation(relaxed.range)) {
         break;
       }
-      if (metrics_.relaxations != nullptr) metrics_.relaxations->Increment();
+      metrics_.relaxations->Increment();
       TraceInstant(context, "plan.relax");
       stream.Reset(relaxed, EvaluatorFor(relaxed, context));
       walk.rounds = round;
@@ -196,33 +194,22 @@ QualityManager::WalkResult QualityManager::RelaxationWalk(
       walk.admitted = std::move(admitted);
       break;
     }
-    const size_t generated =
-        stream.stats().plans_generated - generated_before;
-    walk.plans += generated;
-    stats_.plans_generated += generated;
-    if (metrics_.generated != nullptr) {
-      metrics_.generated->Increment(static_cast<double>(generated));
-      // How decisively the lower bound cut the rest of the space off: the
-      // frontier's best remaining bound relative to the adopted cost.
-      std::optional<double> bound = stream.FrontierBound();
-      if (adopted_cost.has_value() && bound.has_value() &&
-          *adopted_cost > 0.0) {
-        metrics_.cutoff_margin->Observe(*bound / *adopted_cost);
-      }
+    // How decisively the lower bound cut the rest of the space off: the
+    // frontier's best remaining bound relative to the adopted cost.
+    std::optional<double> bound = stream.FrontierBound();
+    if (adopted_cost.has_value() && bound.has_value() &&
+        *adopted_cost > 0.0) {
+      metrics_.cutoff_margin->Observe(*bound / *adopted_cost);
     }
-    TraceEnd(context, {{"plans", std::to_string(generated)},
-                       {"pruned", std::to_string(stream.groups_pruned())}});
+    TraceEnd(context,
+             {{"plans", std::to_string(stream.stats().plans_generated -
+                                       generated_before)},
+              {"pruned", std::to_string(stream.groups_pruned())}});
     if (walk.admitted.ok()) break;
   }
-  // Pruned groups and candidates are cumulative stream state, accounted
-  // once per walk.
-  stats_.groups_pruned += stream.groups_pruned();
-  if (metrics_.groups_pruned != nullptr) {
-    metrics_.groups_pruned->Increment(
-        static_cast<double>(stream.groups_pruned()));
-    metrics_.candidates->Increment(
-        static_cast<double>(stream.stats().candidates));
-  }
+  // The stream's stats are cumulative across rounds.
+  walk.plans = stream.stats().plans_generated;
+  AccountSearch(stream);
   if (!walk.any_plans) {
     walk.admitted = Status::NotFound("no plan satisfies the QoS bounds");
   }
@@ -232,24 +219,20 @@ QualityManager::WalkResult QualityManager::RelaxationWalk(
 Result<QualityManager::Admitted> QualityManager::AdmitQuery(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
     const UserProfile* profile, AdmissionContext context) {
-  ++stats_.queries;
-  if (metrics_.queries != nullptr) metrics_.queries->Increment();
+  metrics_.queries->Increment();
   TraceBegin(context, "delivery.admit");
   WalkResult walk = RelaxationWalk(
       query_site, content, qos, profile, context, /*screen=*/true,
       [this](const ResourceVector& resources) {
         return qos_api_->Reserve(resources);
       });
-  if (metrics_.per_query != nullptr) {
-    metrics_.per_query->Observe(static_cast<double>(walk.plans));
-  }
+  metrics_.per_query->Observe(static_cast<double>(walk.plans));
   if (walk.admitted.ok()) {
-    ++stats_.admitted;
-    if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
+    metrics_.admitted->Increment();
     if (walk.rounds == 0) {
       TraceEnd(context, {{"outcome", "admitted"}});
     } else {
-      ++stats_.renegotiated;
+      renegotiated_.fetch_add(1, std::memory_order_relaxed);
       walk.admitted->renegotiated = true;
       TraceEnd(context, {{"outcome", "admitted_relaxed"},
                          {"rounds", std::to_string(walk.rounds)}});
@@ -257,20 +240,14 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
     return std::move(walk.admitted);
   }
   if (walk.any_plans) {
-    ++stats_.rejected_no_resources;
-    if (metrics_.rejected_no_resources != nullptr) {
-      metrics_.rejected_no_resources->Increment();
-    }
+    metrics_.rejected_no_resources->Increment();
     TraceEnd(context, {{"outcome", "rejected_no_resources"}});
     return Status::ResourceExhausted("no admittable plan after " +
                                      std::string(profile != nullptr
                                                      ? "renegotiation"
                                                      : "admission control"));
   }
-  ++stats_.rejected_no_plan;
-  if (metrics_.rejected_no_plan != nullptr) {
-    metrics_.rejected_no_plan->Increment();
-  }
+  metrics_.rejected_no_plan->Increment();
   TraceEnd(context, {{"outcome", "rejected_no_plan"}});
   return Status::NotFound("no plan satisfies the QoS bounds");
 }
@@ -290,13 +267,12 @@ Result<std::vector<QualityManager::RankedPlan>> QualityManager::ExplainPlans(
     std::optional<PlanStream::Ranked> next = stream.Next();
     if (!next.has_value()) break;
     RankedPlan entry;
-    entry.cost = cost_model_->Cost(next->plan.resources, qos_api_->pool());
+    entry.cost = next->cost;
     entry.admissible = qos_api_->Admissible(next->plan.resources);
     entry.plan = std::move(next->plan);
     ranked.push_back(std::move(entry));
   }
-  stats_.plans_generated += stream.stats().plans_generated;
-  stats_.groups_pruned += stream.groups_pruned();
+  AccountSearch(stream);
   return ranked;
 }
 
@@ -324,9 +300,7 @@ Result<QualityManager::Admitted> QualityManager::FinishRenegotiation(
   // One renegotiation — however many relaxation rounds its walk retried
   // — counts once. Counting per round double-counted retried
   // renegotiations in the exposition.
-  if (metrics_.renegotiations != nullptr) {
-    metrics_.renegotiations->Increment();
-  }
+  metrics_.renegotiations->Increment();
   if (walk.admitted.ok()) walk.admitted->renegotiated = true;
   return std::move(walk.admitted);
 }

@@ -41,9 +41,9 @@
 // state (the gain for the QoS window, the trace track, the sim time)
 // travels in the AdmissionContext each call receives by value, and each
 // call and relaxation round ranks with its own RuntimeCostEvaluator.
-// Statistics are atomic; the generator and the metadata read path are
-// immutable or internally synchronized. set_observability is
-// configuration: call it before threads fan out.
+// The counters are the registry's atomics, resolved at construction;
+// the generator and the metadata read path are immutable or internally
+// synchronized.
 
 namespace quasaq::core {
 
@@ -88,16 +88,17 @@ class QualityManager {
     UtilityWeights utility_weights;
   };
 
+  // Every field but `renegotiated` reads its quasaq_plan_* counter.
   struct Stats {
     uint64_t queries = 0;
     uint64_t admitted = 0;
     uint64_t rejected_no_plan = 0;      // QoS unsatisfiable from storage
     uint64_t rejected_no_resources = 0; // all plans failed admission
     uint64_t renegotiated = 0;          // admitted at relaxed QoS
-    // Plans materialized and costed: the prefix of the ranking the
-    // admission walk expanded, not the whole search space.
+    // Plans materialized and costed by every walk and EXPLAIN: the
+    // prefixes of the rankings they expanded, not the whole space.
     uint64_t plans_generated = 0;
-    uint64_t groups_pruned = 0;  // branches the stream never expanded
+    uint64_t groups_pruned = 0;  // branches the streams never expanded
   };
 
   // A successfully admitted query.
@@ -107,10 +108,13 @@ class QualityManager {
     bool renegotiated = false;
   };
 
-  /// All pointers must outlive the manager.
+  /// Counts plan-search work into `observability`'s registry and emits
+  /// spans on each call's AdmissionContext::trace_track. The pointers
+  /// and `observability` must outlive the manager.
   QualityManager(meta::DistributedMetadataEngine* metadata,
                  res::CompositeQosApi* qos_api, CostModel* cost_model,
-                 std::vector<SiteId> sites, const Options& options);
+                 std::vector<SiteId> sites, const Options& options,
+                 obs::Observability& observability);
 
   /// Populates `options.transcode_targets` (when empty) with the
   /// standard ladder plus reduced-color and reduced-audio variants so
@@ -155,8 +159,9 @@ class QualityManager {
       SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
       const UserProfile* profile = nullptr, AdmissionContext context = {});
 
-  // One entry of an EXPLAIN listing: a ranked plan, its cost under the
-  // current system status, and whether admission control would take it.
+  // One entry of an EXPLAIN listing: a ranked plan, the key the stream
+  // ranked it by (C(r)/G under the current system status), and whether
+  // admission control would take it.
   struct RankedPlan {
     Plan plan;
     double cost = 0.0;
@@ -166,7 +171,8 @@ class QualityManager {
   /// Enumerates and ranks the plans for `content` under `qos` without
   /// reserving anything — the EXPLAIN path. At most `limit` entries;
   /// enumeration stops as soon as `limit` plans have been yielded
-  /// instead of ranking the whole space first.
+  /// instead of ranking the whole space first. The search work counts
+  /// into the generated/candidates/groups-pruned counters like a walk.
   Result<std::vector<RankedPlan>> ExplainPlans(
       SiteId query_site, LogicalOid content,
       const query::QosRequirement& qos, size_t limit = 10,
@@ -177,45 +183,32 @@ class QualityManager {
   static std::string FormatPlanListing(LogicalOid content,
                                        const std::vector<RankedPlan>& plans);
 
-  /// Consistent snapshot of the counters (fields are accumulated
-  /// atomically, so concurrent admissions never tear it).
+  /// Reads the counters (each field is one atomic load, so concurrent
+  /// admissions never tear a field).
   Stats stats() const;
   res::CompositeQosApi& qos_api() { return *qos_api_; }
   PlanGenerator& generator() { return generator_; }
 
-  /// Attaches plan-search counters/histograms and span emission
-  /// (nullptr detaches). The pointer must outlive the manager.
-  void set_observability(obs::Observability* observability);
-
  private:
-  // Registry handles resolved once in set_observability; all nullptr
-  // when unobserved.
+  // Registry handles, resolved once at construction.
   struct Metrics {
-    obs::Counter* queries = nullptr;
-    obs::Counter* admitted = nullptr;
-    obs::Counter* rejected_no_plan = nullptr;
-    obs::Counter* rejected_no_resources = nullptr;
-    obs::Counter* relaxations = nullptr;
-    obs::Counter* renegotiations = nullptr;
-    obs::Counter* generated = nullptr;
-    obs::Counter* candidates = nullptr;
-    obs::Counter* groups_pruned = nullptr;
-    obs::Histogram* per_query = nullptr;
-    obs::Histogram* cutoff_margin = nullptr;
+    obs::Counter* queries;
+    obs::Counter* admitted;
+    obs::Counter* rejected_no_plan;
+    obs::Counter* rejected_no_resources;
+    obs::Counter* relaxations;
+    obs::Counter* renegotiations;
+    obs::Counter* generated;
+    obs::Counter* candidates;
+    obs::Counter* groups_pruned;
+    obs::Histogram* per_query;
+    obs::Histogram* cutoff_margin;
   };
+  static Metrics ResolveMetrics(obs::MetricsRegistry& registry);
 
-  // The Stats fields, accumulated with relaxed atomics so concurrent
-  // admissions from many threads never race; stats() snapshots them
-  // into the plain public struct.
-  struct AtomicStats {
-    std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> admitted{0};
-    std::atomic<uint64_t> rejected_no_plan{0};
-    std::atomic<uint64_t> rejected_no_resources{0};
-    std::atomic<uint64_t> renegotiated{0};
-    std::atomic<uint64_t> plans_generated{0};
-    std::atomic<uint64_t> groups_pruned{0};
-  };
+  // Adds a stream's search work (plans generated, candidates, groups
+  // pruned) to the counters; once per stream, after it is consumed.
+  void AccountSearch(const PlanStream& stream);
 
   void TraceBegin(const AdmissionContext& context, const char* name,
                   obs::Tracer::Args args = {});
@@ -245,9 +238,9 @@ class QualityManager {
   // axis and re-arms the same stream (PlanStream::Reset), for up to
   // max_renegotiation_rounds rounds. With `screen`, plans Admissible
   // rejects are skipped without calling `adopt` or opening a
-  // plan.reserve span. Accounts generated plans, candidates, pruned
-  // groups, relaxations and the cutoff margin; callers keep only their
-  // own counters and messages.
+  // plan.reserve span. Accounts the search (AccountSearch), relaxations
+  // and the cutoff margin; callers keep only their own counters and
+  // messages.
   template <typename Adopt>
   WalkResult RelaxationWalk(SiteId query_site, LogicalOid content,
                             const query::QosRequirement& qos,
@@ -262,9 +255,10 @@ class QualityManager {
   PlanGenerator generator_;
   CostModel* cost_model_;
   Options options_;
-  AtomicStats stats_;
-  Metrics metrics_;
-  obs::Tracer* tracer_ = nullptr;
+  const Metrics metrics_;
+  obs::Tracer& tracer_;
+  // The one Stats field with no exported counter.
+  std::atomic<uint64_t> renegotiated_{0};
 };
 
 }  // namespace quasaq::core

@@ -7,47 +7,45 @@
 namespace quasaq::core {
 
 SessionManager::SessionManager(sim::Simulator* simulator,
-                               res::CompositeQosApi* qos_api)
-    : simulator_(simulator), qos_api_(qos_api) {
+                               res::CompositeQosApi* qos_api,
+                               obs::Observability& observability,
+                               CompleteCallback on_complete)
+    : simulator_(simulator),
+      qos_api_(qos_api),
+      metrics_(ResolveMetrics(observability.metrics())),
+      tracer_(observability.tracer()),
+      on_complete_(std::move(on_complete)) {
   assert(simulator_ != nullptr);
   assert(qos_api_ != nullptr);
 }
 
-void SessionManager::set_observability(obs::Observability* observability) {
-  MutexLock lock(&mu_);
-  if (observability == nullptr) {
-    metrics_ = Metrics{};
-    tracer_ = nullptr;
-    return;
-  }
-  obs::MetricsRegistry& reg = observability->metrics();
-  metrics_.started = reg.GetCounter("quasaq_session_started_total",
-                                    "Deliveries admitted and started");
-  metrics_.completed = reg.GetCounter("quasaq_session_completed_total",
-                                      "Sessions that played to the end");
-  metrics_.cancelled = reg.GetCounter("quasaq_session_cancelled_total",
-                                      "Sessions aborted before completion");
-  metrics_.paused =
-      reg.GetCounter("quasaq_session_paused_total", "Pause operations");
-  metrics_.resumed = reg.GetCounter("quasaq_session_resumed_total",
-                                    "Successful resume operations");
-  metrics_.resume_failed =
+SessionManager::Metrics SessionManager::ResolveMetrics(
+    obs::MetricsRegistry& reg) {
+  return Metrics{
+      reg.GetCounter("quasaq_session_started_total",
+                     "Deliveries admitted and started"),
+      reg.GetCounter("quasaq_session_completed_total",
+                     "Sessions that played to the end"),
+      reg.GetCounter("quasaq_session_cancelled_total",
+                     "Sessions aborted before completion"),
+      reg.GetCounter("quasaq_session_paused_total", "Pause operations"),
+      reg.GetCounter("quasaq_session_resumed_total",
+                     "Successful resume operations"),
       reg.GetCounter("quasaq_session_resume_failed_total",
-                     "Resumes rejected by re-admission");
-  metrics_.duration_seconds = reg.GetHistogram(
-      "quasaq_session_duration_seconds",
-      "Wall-clock (simulated) session length from start to completion",
-      obs::HistogramOptions{/*first_bound=*/1.0, /*growth=*/2.0,
-                            /*bucket_count=*/16});
-  metrics_.active = reg.GetGauge("quasaq_session_active_count",
-                                 "Sessions currently streaming or paused");
-  metrics_.peak = reg.GetGauge("quasaq_session_peak_count",
-                               "High-water mark of concurrent sessions");
-  tracer_ = &observability->tracer();
+                     "Resumes rejected by re-admission"),
+      reg.GetHistogram(
+          "quasaq_session_duration_seconds",
+          "Wall-clock (simulated) session length from start to completion",
+          obs::HistogramOptions{/*first_bound=*/1.0, /*growth=*/2.0,
+                                /*bucket_count=*/16}),
+      reg.GetGauge("quasaq_session_active_count",
+                   "Sessions currently streaming or paused"),
+      reg.GetGauge("quasaq_session_peak_count",
+                   "High-water mark of concurrent sessions"),
+  };
 }
 
 void SessionManager::SampleActive(SimTime now) {
-  if (metrics_.active == nullptr) return;
   metrics_.active->Sample(now, outstanding_);
   metrics_.peak->SampleMax(now, outstanding_);
 }
@@ -75,22 +73,16 @@ SessionId SessionManager::Start(Record record, double duration_seconds) {
   const SessionId id(next_id_++);
   PinVdbms(record, +1);
   record.completion_event = ScheduleCompletion(record.expected_end, id);
-  if (tracer_ != nullptr && record.trace_track != 0) {
-    tracer_->Begin(record.trace_track, "session.stream", now,
-                   {{"session", std::to_string(id.value())},
-                    {"site", std::to_string(record.site.value())}});
+  if (record.trace_track != 0) {
+    tracer_.Begin(record.trace_track, "session.stream", now,
+                  {{"session", std::to_string(id.value())},
+                   {"site", std::to_string(record.site.value())}});
   }
   sessions_.emplace(id, std::move(record));
   ++outstanding_;
-  if (metrics_.started != nullptr) metrics_.started->Increment();
+  metrics_.started->Increment();
   SampleActive(now);
   return id;
-}
-
-const SessionManager::Record* SessionManager::Find(SessionId session) const {
-  MutexLock lock(&mu_);
-  auto it = sessions_.find(session);
-  return it == sessions_.end() ? nullptr : &it->second;
 }
 
 std::optional<SessionManager::Record> SessionManager::Snapshot(
@@ -113,8 +105,7 @@ int SessionManager::outstanding() const {
 }
 
 uint64_t SessionManager::completed() const {
-  MutexLock lock(&mu_);
-  return completed_;
+  return metrics_.completed->count();
 }
 
 Status SessionManager::Pause(SessionId session) {
@@ -137,9 +128,9 @@ Status SessionManager::Pause(SessionId session) {
   record.completion_event = sim::kInvalidEventId;
   record.remaining_at_pause = record.expected_end - simulator_->Now();
   record.paused = true;
-  if (metrics_.paused != nullptr) metrics_.paused->Increment();
-  if (tracer_ != nullptr && record.trace_track != 0) {
-    tracer_->Begin(record.trace_track, "session.paused", simulator_->Now());
+  metrics_.paused->Increment();
+  if (record.trace_track != 0) {
+    tracer_.Begin(record.trace_track, "session.paused", simulator_->Now());
   }
   return Status::Ok();
 }
@@ -157,12 +148,10 @@ Status SessionManager::Resume(SessionId session) {
     Result<res::ReservationId> reservation =
         qos_api_->Reserve(record.reserved_vector);
     if (!reservation.ok()) {
-      if (metrics_.resume_failed != nullptr) {
-        metrics_.resume_failed->Increment();
-      }
-      if (tracer_ != nullptr && record.trace_track != 0) {
-        tracer_->Instant(record.trace_track, "session.resume_failed",
-                         simulator_->Now());
+      metrics_.resume_failed->Increment();
+      if (record.trace_track != 0) {
+        tracer_.Instant(record.trace_track, "session.resume_failed",
+                        simulator_->Now());
       }
       return reservation.status();
     }
@@ -172,10 +161,10 @@ Status SessionManager::Resume(SessionId session) {
   record.paused = false;
   record.expected_end = simulator_->Now() + record.remaining_at_pause;
   record.completion_event = ScheduleCompletion(record.expected_end, session);
-  if (metrics_.resumed != nullptr) metrics_.resumed->Increment();
-  if (tracer_ != nullptr && record.trace_track != 0) {
+  metrics_.resumed->Increment();
+  if (record.trace_track != 0) {
     // Closes the session.paused span opened by Pause.
-    tracer_->End(record.trace_track, simulator_->Now());
+    tracer_.End(record.trace_track, simulator_->Now());
   }
   return Status::Ok();
 }
@@ -193,13 +182,13 @@ Status SessionManager::Cancel(SessionId session) {
   // Paused sessions already returned their resources.
   if (!record.paused) PinVdbms(record, -1);
   const SimTime now = simulator_->Now();
-  if (tracer_ != nullptr && record.trace_track != 0) {
-    tracer_->Instant(record.trace_track, "session.cancelled", now);
-    tracer_->EndAll(record.trace_track, now);
+  if (record.trace_track != 0) {
+    tracer_.Instant(record.trace_track, "session.cancelled", now);
+    tracer_.EndAll(record.trace_track, now);
   }
   sessions_.erase(it);
   --outstanding_;
-  if (metrics_.cancelled != nullptr) metrics_.cancelled->Increment();
+  metrics_.cancelled->Increment();
   SampleActive(now);
   return Status::Ok();
 }
@@ -230,29 +219,22 @@ void SessionManager::Complete(SessionId id) {
     }
     if (!record.paused) PinVdbms(record, -1);
     completed_at = simulator_->Now();
-    if (metrics_.completed != nullptr) {
-      metrics_.completed->Increment();
-      metrics_.duration_seconds->Observe(
-          SimTimeToSeconds(completed_at - record.start));
-    }
-    if (tracer_ != nullptr && record.trace_track != 0) {
+    metrics_.completed->Increment();
+    metrics_.duration_seconds->Observe(
+        SimTimeToSeconds(completed_at - record.start));
+    if (record.trace_track != 0) {
       // Closes session.stream (and a dangling session.paused, if the
       // caller completed a paused session) plus the delivery root span.
-      tracer_->EndAll(record.trace_track, completed_at);
+      tracer_.EndAll(record.trace_track, completed_at);
     }
     sessions_.erase(it);
     --outstanding_;
-    ++completed_;
-  }
-  CompleteCallback callback;
-  {
-    MutexLock lock(&config_mu_);
-    callback = on_complete_;
+    SampleActive(completed_at);
   }
   // Invoke outside every lock: the facade's completion hook (and user
   // callbacks behind it) may re-enter this manager, e.g. to cancel or
   // start a follow-up session.
-  if (callback) callback(id, completed_at);
+  on_complete_(id, completed_at);
 }
 
 }  // namespace quasaq::core

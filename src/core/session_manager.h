@@ -36,9 +36,8 @@
 // (Step/RunAll) must not overlap with session calls from other threads;
 // the clock itself stays single-threaded. Lock order:
 // SessionManager::mu_ → CompositeQosApi::mu_ → ResourcePool::mu_
-// (docs/ARCHITECTURE.md "Threading model"). set_observability/
-// set_on_complete are configuration: call them before lifecycle calls
-// run concurrently.
+// (docs/ARCHITECTURE.md "Threading model"). The observability handles
+// and the completion callback are fixed at construction.
 
 namespace quasaq::core {
 
@@ -67,8 +66,14 @@ class SessionManager {
 
   using CompleteCallback = std::function<void(SessionId, SimTime)>;
 
-  /// Both pointers must outlive the manager.
-  SessionManager(sim::Simulator* simulator, res::CompositeQosApi* qos_api);
+  /// Counts lifecycle events, samples the active/peak gauges and the
+  /// duration histogram into `observability`, and emits spans on each
+  /// record's trace track. `on_complete` runs after every completion,
+  /// outside the manager's lock. The pointers and `observability` must
+  /// outlive the manager.
+  SessionManager(sim::Simulator* simulator, res::CompositeQosApi* qos_api,
+                 obs::Observability& observability,
+                 CompleteCallback on_complete);
 
   /// Registers a delivery and schedules its completion. Captures the
   /// reservation's resource vector (when one is held) so resume can
@@ -96,13 +101,7 @@ class SessionManager {
   Status AdoptRenegotiatedPlan(SessionId session, SiteId delivery_site,
                                const ResourceVector& resources);
 
-  /// The session's record, or nullptr. Invalidated by any mutation, so
-  /// only serialized callers (the single-threaded driver, tests) may
-  /// hold the pointer; concurrent observers must use Snapshot().
-  const Record* Find(SessionId session) const;
-
-  /// Copy of the session's record, or nullopt — the concurrency-safe
-  /// flavor of Find().
+  /// Copy of the session's record, or nullopt.
   std::optional<Record> Snapshot(SessionId session) const;
 
   /// Active VDBMS-pinned bitrate currently streaming from `site`.
@@ -110,37 +109,26 @@ class SessionManager {
 
   /// Sessions currently streaming or paused.
   int outstanding() const;
-  /// Sessions that ran to completion.
+  /// Sessions that ran to completion (quasaq_session_completed_total).
   uint64_t completed() const;
 
-  void set_on_complete(CompleteCallback callback) {
-    MutexLock lock(&config_mu_);
-    on_complete_ = std::move(callback);
-  }
-
-  /// Attaches lifecycle counters, active/peak gauges, the duration
-  /// histogram, and span emission to `observability` (nullptr
-  /// detaches). Call before the first Start; the pointer must outlive
-  /// the manager.
-  void set_observability(obs::Observability* observability);
-
  private:
-  // Registry handles resolved once in set_observability; all nullptr
-  // when unobserved.
+  // Registry handles, resolved once at construction.
   struct Metrics {
-    obs::Counter* started = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* cancelled = nullptr;
-    obs::Counter* paused = nullptr;
-    obs::Counter* resumed = nullptr;
-    obs::Counter* resume_failed = nullptr;
-    obs::Histogram* duration_seconds = nullptr;
-    obs::Gauge* active = nullptr;
-    obs::Gauge* peak = nullptr;
+    obs::Counter* started;
+    obs::Counter* completed;
+    obs::Counter* cancelled;
+    obs::Counter* paused;
+    obs::Counter* resumed;
+    obs::Counter* resume_failed;
+    obs::Histogram* duration_seconds;
+    obs::Gauge* active;
+    obs::Gauge* peak;
   };
+  static Metrics ResolveMetrics(obs::MetricsRegistry& registry);
 
-  // Samples the active-session gauge (and bumps the peak). Start and
-  // Cancel sample; Complete only adjusts the count.
+  // Samples the active-session gauge (and bumps the peak) after Start,
+  // Cancel and Complete change the count.
   void SampleActive(SimTime now) QUASAQ_REQUIRES(mu_);
   void Complete(SessionId id);
   // Adds (`sign` = +1) or returns (-1) the session's pinned VDBMS
@@ -149,23 +137,22 @@ class SessionManager {
   sim::EventId ScheduleCompletion(SimTime at, SessionId id)
       QUASAQ_REQUIRES(mu_);
 
-  // Guards the table, every counter and the simulator: every call into
-  // the simulator (clock reads, scheduling, cancellation) runs under
-  // it. Observability is emitted while mu_ is held; the obs mutexes are
-  // strict leaves in the lock order, below ResourcePool::mu_.
+  // Guards the table and the simulator: every call into the simulator
+  // (clock reads, scheduling, cancellation) runs under it. Counters and
+  // spans are emitted while mu_ is held; the obs mutexes are strict
+  // leaves in the lock order, below ResourcePool::mu_.
   mutable Mutex mu_;
-  // Both pointers are set at construction and never reassigned.
+  // Set at construction and never reassigned.
   sim::Simulator* simulator_ QUASAQ_PT_GUARDED_BY(mu_);
   res::CompositeQosApi* qos_api_;
+  const Metrics metrics_;
+  obs::Tracer& tracer_;
+  const CompleteCallback on_complete_;
+
   int64_t next_id_ QUASAQ_GUARDED_BY(mu_) = 1;
   int outstanding_ QUASAQ_GUARDED_BY(mu_) = 0;
-  uint64_t completed_ QUASAQ_GUARDED_BY(mu_) = 0;
   std::unordered_map<SessionId, Record> sessions_ QUASAQ_GUARDED_BY(mu_);
   std::unordered_map<SiteId, int64_t> vdbms_site_pins_ QUASAQ_GUARDED_BY(mu_);
-  Metrics metrics_ QUASAQ_GUARDED_BY(mu_);
-  obs::Tracer* tracer_ QUASAQ_GUARDED_BY(mu_) = nullptr;
-  mutable Mutex config_mu_;
-  CompleteCallback on_complete_ QUASAQ_GUARDED_BY(config_mu_);
 };
 
 }  // namespace quasaq::core

@@ -27,17 +27,16 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
           options.observability.trace_max_events}),
       library_(media::BuildExperimentLibrary(options.library,
                                              options.topology.SiteIds())),
-      qos_api_(&pool_),
-      session_manager_(simulator, &qos_api_) {
+      qos_api_(&pool_, observability_.metrics()),
+      session_manager_(simulator, &qos_api_, observability_,
+                       [this](SessionId id, SimTime now) {
+                         SampleResourceTelemetry();
+                         if (on_session_complete_) {
+                           on_session_complete_(id, now);
+                         }
+                       }) {
   assert(simulator_ != nullptr);
   std::vector<SiteId> sites = options_.topology.SiteIds();
-  session_manager_.set_observability(&observability_);
-  qos_api_.set_metrics(&observability_.metrics());
-  session_manager_.set_on_complete([this](SessionId id, SimTime now) {
-    ++stats_.completed;
-    SampleResourceTelemetry();
-    if (on_session_complete_) on_session_complete_(id, now);
-  });
 
   // Resource buckets: one CPU / net / disk / memory bucket per server.
   // Topology validation guarantees positive capacities; a violation here
@@ -84,12 +83,11 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
     QualityManager::Options quality = options_.quality;
     QualityManager::PopulateDefaultTranscodeTargets(quality.generator);
     quality_manager_ = std::make_unique<QualityManager>(
-        metadata_.get(), &qos_api_, cost_model_.get(), sites, quality);
-    quality_manager_->set_observability(&observability_);
+        metadata_.get(), &qos_api_, cost_model_.get(), sites, quality,
+        observability_);
     if (options_.cache.enabled) {
       cache_manager_ = std::make_unique<cache::CacheManager>(
-          sites, options_.cache.manager);
-      cache_manager_->set_metrics(&observability_.metrics());
+          sites, options_.cache.manager, observability_.metrics());
       quality_manager_->generator().set_cache_view(cache_manager_.get());
     }
 
@@ -380,7 +378,7 @@ MediaDbSystem::Stats MediaDbSystem::stats() const {
   snapshot.submitted = stats_.submitted.load(std::memory_order_relaxed);
   snapshot.admitted = stats_.admitted.load(std::memory_order_relaxed);
   snapshot.rejected = stats_.rejected.load(std::memory_order_relaxed);
-  snapshot.completed = stats_.completed.load(std::memory_order_relaxed);
+  snapshot.completed = session_manager_.completed();
   return snapshot;
 }
 

@@ -303,13 +303,13 @@ class MediaDbSystem {
   std::unique_ptr<cache::CacheManager> cache_manager_;
   std::unique_ptr<res::PoolTelemetry> pool_telemetry_;
 
-  // The Stats fields, accumulated with relaxed atomics (stats()
-  // snapshots them) so concurrent submissions never race.
+  // The Stats query fields, accumulated with relaxed atomics (stats()
+  // snapshots them) so concurrent submissions never race; `completed`
+  // is read from SessionManager.
   struct AtomicStats {
     std::atomic<uint64_t> submitted{0};
     std::atomic<uint64_t> admitted{0};
     std::atomic<uint64_t> rejected{0};
-    std::atomic<uint64_t> completed{0};
   };
   AtomicStats stats_;
   SessionCompleteCallback on_session_complete_;

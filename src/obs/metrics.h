@@ -59,6 +59,9 @@ class Counter {
   }
 
   double value() const { return value_.load(std::memory_order_relaxed); }
+  // The value as an event count, for counters bumped by whole numbers
+  // (exact up to 2^53 events).
+  uint64_t count() const { return static_cast<uint64_t>(value()); }
 
  private:
   std::atomic<double> value_{0.0};

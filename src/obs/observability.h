@@ -7,8 +7,10 @@
 // The observability context one system instance threads through its
 // layers: a metrics registry and a tracer, created together so every
 // subsystem reports into the same exposition surface. Instrumented
-// components take an `Observability*` (or a `MetricsRegistry*` when
-// they only count) and treat nullptr as "not observed".
+// components take an `Observability&` (or a `MetricsRegistry&` when
+// they only count) in their constructor and resolve their handles
+// once; whether a call emits spans is decided by its trace track
+// (0 = untraced), and a disabled Tracer records nothing.
 
 namespace quasaq::obs {
 

@@ -37,30 +37,34 @@ std::string CompositeQosApi::BottleneckReport() const {
   return std::string(buf);
 }
 
-CompositeQosApi::CompositeQosApi(ResourcePool* pool) : pool_(pool) {
+CompositeQosApi::CompositeQosApi(ResourcePool* pool,
+                                 obs::MetricsRegistry& metrics)
+    : pool_(pool), metrics_(ResolveMetrics(metrics)) {
   assert(pool_ != nullptr);
 }
 
-void CompositeQosApi::set_metrics(obs::MetricsRegistry* registry) {
+CompositeQosApi::Metrics CompositeQosApi::ResolveMetrics(
+    obs::MetricsRegistry& registry) {
+  return Metrics{
+      registry.GetCounter("quasaq_resource_reserve_accepted_total",
+                          "Reservations admission control granted"),
+      registry.GetCounter("quasaq_resource_reserve_rejected_total",
+                          "Reservations admission control denied"),
+      registry.GetCounter("quasaq_resource_released_total",
+                          "Reservations released"),
+      registry.GetCounter("quasaq_resource_renegotiate_accepted_total",
+                          "In-place reservation swaps that fit"),
+      registry.GetCounter("quasaq_resource_renegotiate_rejected_total",
+                          "In-place reservation swaps that did not fit"),
+  };
+}
+
+CompositeQosApi::Stats CompositeQosApi::stats() const {
   MutexLock lock(&mu_);
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.reserve_accepted =
-      registry->GetCounter("quasaq_resource_reserve_accepted_total",
-                           "Reservations admission control granted");
-  metrics_.reserve_rejected =
-      registry->GetCounter("quasaq_resource_reserve_rejected_total",
-                           "Reservations admission control denied");
-  metrics_.released = registry->GetCounter(
-      "quasaq_resource_released_total", "Reservations released");
-  metrics_.renegotiate_accepted =
-      registry->GetCounter("quasaq_resource_renegotiate_accepted_total",
-                           "In-place reservation swaps that fit");
-  metrics_.renegotiate_rejected =
-      registry->GetCounter("quasaq_resource_renegotiate_rejected_total",
-                           "In-place reservation swaps that did not fit");
+  return Stats{metrics_.reserve_accepted->count(),
+               metrics_.reserve_rejected->count(), metrics_.released->count(),
+               metrics_.renegotiate_accepted->count(),
+               metrics_.renegotiate_rejected->count()};
 }
 
 bool CompositeQosApi::Admissible(const ResourceVector& demand) const {
@@ -73,16 +77,10 @@ Result<ReservationId> CompositeQosApi::Reserve(const ResourceVector& demand) {
   Status status = pool_->Acquire(demand, &overflowing);
   AccountAttempt(demand, overflowing);
   if (!status.ok()) {
-    ++stats_.rejected;
-    if (metrics_.reserve_rejected != nullptr) {
-      metrics_.reserve_rejected->Increment();
-    }
+    metrics_.reserve_rejected->Increment();
     return status;
   }
-  ++stats_.admitted;
-  if (metrics_.reserve_accepted != nullptr) {
-    metrics_.reserve_accepted->Increment();
-  }
+  metrics_.reserve_accepted->Increment();
   ReservationId id = next_id_++;
   reservations_.emplace(id, demand);
   return id;
@@ -98,8 +96,7 @@ Status CompositeQosApi::Release(ReservationId id) {
   // vectors disagree — surface it instead of reporting a clean release.
   Status released = pool_->Release(it->second);
   reservations_.erase(it);
-  ++stats_.released;
-  if (metrics_.released != nullptr) metrics_.released->Increment();
+  metrics_.released->Increment();
   return released;
 }
 
@@ -122,17 +119,11 @@ Status CompositeQosApi::Renegotiate(ReservationId id,
     Status restored = pool_->Acquire(it->second);
     assert(restored.ok());
     (void)restored;
-    ++stats_.renegotiation_failures;
-    if (metrics_.renegotiate_rejected != nullptr) {
-      metrics_.renegotiate_rejected->Increment();
-    }
+    metrics_.renegotiate_rejected->Increment();
     return status;
   }
   it->second = new_demand;
-  ++stats_.renegotiations;
-  if (metrics_.renegotiate_accepted != nullptr) {
-    metrics_.renegotiate_accepted->Increment();
-  }
+  metrics_.renegotiate_accepted->Increment();
   return Status::Ok();
 }
 

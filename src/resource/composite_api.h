@@ -17,7 +17,7 @@
 // admission control, resource reservation, and renegotiation.
 // Reservations are all-or-nothing across every bucket a plan touches.
 //
-// Thread-safe: one mutex guards the reservation table and the
+// Thread-safe: one mutex guards the reservation table and the per-kind
 // admission/denial statistics. The pool's own leaf lock is acquired
 // while this one is held (lock order: CompositeQosApi::mu_ →
 // ResourcePool::mu_, see docs/ARCHITECTURE.md), which keeps
@@ -48,8 +48,10 @@ class CompositeQosApi {
     uint64_t denials = 0;
   };
 
-  /// `pool` must outlive the API object.
-  explicit CompositeQosApi(ResourcePool* pool);
+  /// Counts reservation accept/reject/release/renegotiate into
+  /// `metrics`; stats() reads those counters back. `pool` and `metrics`
+  /// must outlive the API object.
+  CompositeQosApi(ResourcePool* pool, obs::MetricsRegistry& metrics);
 
   /// Admission control: true when `demand` fits the current system
   /// status without reserving anything.
@@ -78,10 +80,9 @@ class CompositeQosApi {
     MutexLock lock(&mu_);
     return reservations_.size();
   }
-  Stats stats() const QUASAQ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return stats_;
-  }
+  /// The exported reservation counters, read under mu_ so the fields
+  /// agree with each other.
+  Stats stats() const QUASAQ_EXCLUDES(mu_);
   KindStats kind_stats(ResourceKind kind) const QUASAQ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return kind_stats_[static_cast<size_t>(kind)];
@@ -93,21 +94,17 @@ class CompositeQosApi {
   /// to "what do we buy more of?".
   std::string BottleneckReport() const QUASAQ_EXCLUDES(mu_);
 
-  /// Mirrors reservation accept/reject/release/renegotiate accounting
-  /// into `registry` (nullptr detaches). The registry must outlive the
-  /// API object; call before the first Reserve.
-  void set_metrics(obs::MetricsRegistry* registry) QUASAQ_EXCLUDES(mu_);
-
  private:
-  // Registry handles resolved once in set_metrics; all nullptr when
-  // unobserved. Emitted under mu_ — the registry's locks are leaves.
+  // Registry handles, resolved once at construction. Bumped under mu_ —
+  // the registry's locks are leaves.
   struct Metrics {
-    obs::Counter* reserve_accepted = nullptr;
-    obs::Counter* reserve_rejected = nullptr;
-    obs::Counter* released = nullptr;
-    obs::Counter* renegotiate_accepted = nullptr;
-    obs::Counter* renegotiate_rejected = nullptr;
+    obs::Counter* reserve_accepted;
+    obs::Counter* reserve_rejected;
+    obs::Counter* released;
+    obs::Counter* renegotiate_accepted;
+    obs::Counter* renegotiate_rejected;
   };
+  static Metrics ResolveMetrics(obs::MetricsRegistry& registry);
 
   // Charges per-kind request/denial accounting for one attempt;
   // `overflowing` is what the pool's Acquire reported as not fitting.
@@ -115,14 +112,13 @@ class CompositeQosApi {
                       const std::vector<BucketId>& overflowing)
       QUASAQ_REQUIRES(mu_);
 
-  ResourcePool* pool_;  // set at construction, never reassigned
+  ResourcePool* pool_;     // set at construction, never reassigned
+  const Metrics metrics_;  // set at construction, never reassigned
   mutable Mutex mu_;
   ReservationId next_id_ QUASAQ_GUARDED_BY(mu_) = 1;
   std::unordered_map<ReservationId, ResourceVector> reservations_
       QUASAQ_GUARDED_BY(mu_);
-  Stats stats_ QUASAQ_GUARDED_BY(mu_);
   KindStats kind_stats_[kNumResourceKinds] QUASAQ_GUARDED_BY(mu_) = {};
-  Metrics metrics_ QUASAQ_GUARDED_BY(mu_);
 };
 
 }  // namespace quasaq::res

@@ -211,7 +211,8 @@ TEST(StorageCacheTest, CachedRangesAreServedFromMemory) {
   storage::StorageManager::Options options;
   storage::StorageManager manager(SiteId(0), options);
   ASSERT_TRUE(manager.store().Put(replica).ok());
-  cache::SegmentCache cache(cache::SegmentCache::Options{});
+  obs::MetricsRegistry metrics;
+  cache::SegmentCache cache(cache::SegmentCache::Options{}, metrics, "0");
   manager.AttachCache(&cache);
 
   // Cold read goes to disk and fills the touched segments.

@@ -83,7 +83,8 @@ TEST(SegmentCacheTest, HitMissSequenceIsDeterministic) {
   auto run = [] {
     SegmentCache::Options options;
     options.capacity_kb = 2000.0;
-    SegmentCache cache(options);
+    obs::MetricsRegistry metrics;
+    SegmentCache cache(options, metrics, "0");
     Rng rng(1234);
     std::vector<bool> outcomes;
     for (int i = 0; i < 2000; ++i) {
@@ -104,7 +105,8 @@ TEST(SegmentCacheTest, HitMissSequenceIsDeterministic) {
 TEST(SegmentCacheTest, ByteAccountingBalances) {
   SegmentCache::Options options;
   options.capacity_kb = 1500.0;
-  SegmentCache cache(options);
+  obs::MetricsRegistry metrics;
+  SegmentCache cache(options, metrics, "0");
   Rng rng(77);
   for (int i = 0; i < 500; ++i) {
     SegmentKey key{PhysicalOid(rng.UniformInt(0, 4)),
@@ -124,7 +126,8 @@ TEST(SegmentCacheTest, LruEvictsLeastRecentlyUsed) {
   SegmentCache::Options options;
   options.capacity_kb = 300.0;
   options.policy = "lru";
-  SegmentCache cache(options);
+  obs::MetricsRegistry metrics;
+  SegmentCache cache(options, metrics, "0");
   cache.Access(SegmentKey{PhysicalOid(1), 0}, 100.0, 1 * kSecond);
   cache.Access(SegmentKey{PhysicalOid(1), 1}, 100.0, 2 * kSecond);
   cache.Access(SegmentKey{PhysicalOid(1), 2}, 100.0, 3 * kSecond);
@@ -145,7 +148,8 @@ TEST(SegmentCacheTest, PoliciesDivergeOnSkewedPrefixWorkload) {
     SegmentCache::Options options;
     options.capacity_kb = 1000.0;
     options.policy = policy;
-    SegmentCache cache(options);
+    obs::MetricsRegistry metrics;
+    SegmentCache cache(options, metrics, "0");
     const PhysicalOid popular(1);
     const PhysicalOid scan(2);
     SimTime now = 0;
@@ -171,7 +175,8 @@ TEST(SegmentCacheTest, PoliciesDivergeOnSkewedPrefixWorkload) {
 }
 
 TEST(SegmentCacheTest, ContainsHasNoSideEffects) {
-  SegmentCache cache(SegmentCache::Options{});
+  obs::MetricsRegistry metrics;
+  SegmentCache cache(SegmentCache::Options{}, metrics, "0");
   cache.Access(SegmentKey{PhysicalOid(1), 0}, 100.0, kSecond);
   SegmentCache::Counters before = cache.counters();
   EXPECT_TRUE(cache.Contains(SegmentKey{PhysicalOid(1), 0}));
@@ -183,7 +188,8 @@ TEST(SegmentCacheTest, ContainsHasNoSideEffects) {
 TEST(SegmentCacheTest, OversizedSegmentIsRejected) {
   SegmentCache::Options options;
   options.capacity_kb = 100.0;
-  SegmentCache cache(options);
+  obs::MetricsRegistry metrics;
+  SegmentCache cache(options, metrics, "0");
   EXPECT_FALSE(cache.Access(SegmentKey{PhysicalOid(1), 0}, 500.0, 0));
   EXPECT_FALSE(cache.Contains(SegmentKey{PhysicalOid(1), 0}));
   EXPECT_EQ(cache.counters().rejected, 1u);
@@ -191,7 +197,8 @@ TEST(SegmentCacheTest, OversizedSegmentIsRejected) {
 }
 
 TEST(SegmentCacheTest, EraseReplicaDropsAllItsSegments) {
-  SegmentCache cache(SegmentCache::Options{});
+  obs::MetricsRegistry metrics;
+  SegmentCache cache(SegmentCache::Options{}, metrics, "0");
   for (int32_t seg = 0; seg < 5; ++seg) {
     cache.Access(SegmentKey{PhysicalOid(1), seg}, 50.0, kSecond);
     cache.Access(SegmentKey{PhysicalOid(2), seg}, 50.0, kSecond);
@@ -209,7 +216,8 @@ TEST(SegmentCacheTest, EraseReplicaDropsAllItsSegments) {
 
 TEST(CacheManagerTest, StreamingWarmsTheSourceSiteOnly) {
   std::vector<SiteId> sites = {SiteId(0), SiteId(1)};
-  CacheManager manager(sites, CacheManager::Options{});
+  obs::MetricsRegistry metrics;
+  CacheManager manager(sites, CacheManager::Options{}, metrics);
   media::ReplicaInfo replica = MakeReplica(3, 60.0);
   EXPECT_DOUBLE_EQ(manager.CachedFraction(SiteId(0), replica), 0.0);
 

@@ -12,7 +12,7 @@ BucketId Net(int site) {
 
 class CompositeQosApiTest : public ::testing::Test {
  protected:
-  CompositeQosApiTest() : api_(&pool_) {
+  CompositeQosApiTest() : api_(&pool_, metrics_) {
     EXPECT_TRUE(pool_.DeclareBucket(Cpu(0), 1.0).ok());
     EXPECT_TRUE(pool_.DeclareBucket(Net(0), 100.0).ok());
   }
@@ -24,6 +24,7 @@ class CompositeQosApiTest : public ::testing::Test {
     return demand;
   }
 
+  obs::MetricsRegistry metrics_;
   ResourcePool pool_;
   CompositeQosApi api_;
 };

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <latch>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,7 +125,8 @@ TEST(ConcurrencyStressTest, FrameDropTableFirstTouchFromManyThreads) {
 TEST(ConcurrencyStressTest, CompositeApiReserveReleaseBalances) {
   res::ResourcePool pool;
   ASSERT_TRUE(pool.DeclareBucket(Net(0), 500.0).ok());
-  res::CompositeQosApi api(&pool);
+  obs::MetricsRegistry metrics;
+  res::CompositeQosApi api(&pool, metrics);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -156,8 +158,10 @@ TEST(ConcurrencyStressTest, CompositeApiReserveReleaseBalances) {
 
 TEST(ConcurrencyStressTest, SegmentCacheReadsFillsAndEvictions) {
   // Tiny capacity: fills, evictions, and rejections all exercised.
+  obs::MetricsRegistry metrics;
   cache::SegmentCache segment_cache(
-      {.capacity_kb = 64.0, .policy = "lru", .popularity_half_life = 0});
+      {.capacity_kb = 64.0, .policy = "lru", .popularity_half_life = 0},
+      metrics, "0");
   std::atomic<uint64_t> accesses{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -197,7 +201,8 @@ TEST(ConcurrencyStressTest, CacheManagerParallelSitesAndInvalidation) {
   cache::CacheManager::Options options;
   options.cache.capacity_kb = 512.0;
   options.cache.policy = "utility";
-  cache::CacheManager manager(sites, options);
+  obs::MetricsRegistry metrics;
+  cache::CacheManager manager(sites, options, metrics);
 
   std::vector<media::ReplicaInfo> replicas(6);
   for (size_t r = 0; r < replicas.size(); ++r) {
@@ -252,10 +257,11 @@ TEST(ConcurrencyStressTest, SessionLifecycleInterleavings) {
   // the invariant under test is bookkeeping, not admission pressure.
   ASSERT_TRUE(
       pool.DeclareBucket(Net(0), 1e9).ok());
-  res::CompositeQosApi api(&pool);
-  core::SessionManager manager(&simulator, &api);
+  obs::Observability observability;
+  res::CompositeQosApi api(&pool, observability.metrics());
   std::atomic<uint64_t> completions{0};
-  manager.set_on_complete(
+  core::SessionManager manager(
+      &simulator, &api, observability,
       [&completions](SessionId, SimTime) { ++completions; });
 
   // Phase 1: concurrent admissions (reservation-backed and VDBMS-pinned
@@ -332,8 +338,9 @@ TEST(ConcurrencyStressTest, SessionLifecycleInterleavings) {
   // Drain: resume whatever is still paused, then run the clock out.
   for (const std::vector<SessionId>& ids : started) {
     for (SessionId id : ids) {
-      const core::SessionManager::Record* record = manager.Find(id);
-      if (record != nullptr && record->paused) {
+      std::optional<core::SessionManager::Record> record =
+          manager.Snapshot(id);
+      if (record.has_value() && record->paused) {
         EXPECT_TRUE(manager.Resume(id).ok());
       }
     }

@@ -108,6 +108,28 @@ TEST_F(ExplainTest, ToStringListsEveryPlan) {
   EXPECT_NE(text.find("KB/s"), std::string::npos);
 }
 
+// The listing shows the key the stream ranked by, so it is ordered
+// under every cost model, including Random, whose Cost() draws a fresh
+// number on every call.
+TEST(ExplainRandomModelTest, ListingIsNonDecreasing) {
+  sim::Simulator simulator;
+  MediaDbSystem::Options options;
+  options.kind = SystemKind::kVdbmsQuasaq;
+  options.seed = 3;
+  options.cost_model = "random";
+  MediaDbSystem system(&simulator, options);
+  query::QosRequirement qos;
+  qos.range.min_frame_rate = 5.0;
+  Result<std::vector<QualityManager::RankedPlan>> plans =
+      system.quality_manager()->ExplainPlans(SiteId(0), LogicalOid(0), qos,
+                                             10);
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  ASSERT_EQ(plans->size(), 10u);
+  for (size_t i = 1; i < plans->size(); ++i) {
+    EXPECT_LE((*plans)[i - 1].cost, (*plans)[i].cost) << "rank " << i + 1;
+  }
+}
+
 TEST(ExplainOnVdbmsTest, RequiresQuasaq) {
   sim::Simulator simulator;
   MediaDbSystem::Options options;

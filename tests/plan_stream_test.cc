@@ -204,7 +204,8 @@ TEST_F(PlanStreamTest, UnknownContentFailsConstruction) {
 class StreamedVsEagerTest : public PlanStreamTest {
  protected:
   StreamedVsEagerTest()
-      : oracle_api_(&oracle_pool_), streamed_api_(&streamed_pool_) {
+      : oracle_api_(&oracle_pool_, oracle_metrics_),
+        streamed_api_(&streamed_pool_, streamed_obs_.metrics()) {
     DeclareBuckets(oracle_pool_);
     DeclareBuckets(streamed_pool_);
     UseOptions(QualityManager::Options());
@@ -215,7 +216,7 @@ class StreamedVsEagerTest : public PlanStreamTest {
     oracle_generator_ =
         std::make_unique<PlanGenerator>(&metadata_, sites_, options.generator);
     streamed_ = std::make_unique<QualityManager>(
-        &metadata_, &streamed_api_, &lrb_, sites_, options);
+        &metadata_, &streamed_api_, &lrb_, sites_, options, streamed_obs_);
   }
 
   // The oracle's full ranking of the space under `qos`, costed against
@@ -352,6 +353,8 @@ class StreamedVsEagerTest : public PlanStreamTest {
   }
 
   QualityManager::Options options_;
+  obs::MetricsRegistry oracle_metrics_;
+  obs::Observability streamed_obs_;
   res::ResourcePool oracle_pool_;
   res::ResourcePool streamed_pool_;
   res::CompositeQosApi oracle_api_;
@@ -489,8 +492,6 @@ TEST_F(StreamedVsEagerTest, AttemptsCapAppliesToRenegotiateDelivery) {
 // admission and in-place renegotiation both walk all three windows
 // before giving up with kResourceExhausted, exactly like the oracle.
 TEST_F(StreamedVsEagerTest, RefusalRunsEveryRelaxedRound) {
-  obs::Observability observability;
-  streamed_->set_observability(&observability);
   // A held reservation that frees no CPU when swapped out, then every
   // CPU filled: no plan fits, whatever the window.
   ResourceVector held;
@@ -526,13 +527,12 @@ TEST_F(StreamedVsEagerTest, RefusalRunsEveryRelaxedRound) {
   EXPECT_EQ(oracle_rounds_, 6);
   EXPECT_EQ(streamed_api_.Find(*streamed_id)->ToString(), held.ToString());
 
-  obs::MetricsRegistry& metrics = observability.metrics();
+  obs::MetricsRegistry& metrics = streamed_obs_.metrics();
   EXPECT_EQ(metrics.GetCounter("quasaq_plan_relaxations_total", "")->value(),
             4.0);
   EXPECT_EQ(
       metrics.GetCounter("quasaq_plan_renegotiations_total", "")->value(),
       1.0);
-  streamed_->set_observability(nullptr);
 }
 
 TEST_F(StreamedVsEagerTest, ExplainListingsAreIdentical) {
@@ -554,6 +554,11 @@ TEST_F(StreamedVsEagerTest, ExplainListingsAreIdentical) {
     EXPECT_EQ(QualityManager::FormatPlanListing(LogicalOid(0), oracle),
               QualityManager::FormatPlanListing(LogicalOid(0), *streamed))
         << "limit " << limit;
+    // Under LRB with the throughput goal the listed key is the plan's
+    // LRB cost, bit for bit.
+    for (size_t i = 0; i < oracle.size() && i < streamed->size(); ++i) {
+      EXPECT_EQ(oracle[i].cost, (*streamed)[i].cost) << "rank " << i + 1;
+    }
   }
 }
 
@@ -589,13 +594,15 @@ TEST(ExplainLimitTest, GenerationStopsAtTheLimit) {
   ASSERT_TRUE(pool.DeclareBucket({SiteId(0), ResourceKind::kNetworkBandwidth}, 1e9).ok());
   ASSERT_TRUE(pool.DeclareBucket({SiteId(0), ResourceKind::kDiskBandwidth}, 2000.0).ok());
   ASSERT_TRUE(pool.DeclareBucket({SiteId(0), ResourceKind::kMemory}, 1e12).ok());
-  res::CompositeQosApi api(&pool);
+  obs::Observability observability;
+  res::CompositeQosApi api(&pool, observability.metrics());
   LrbCostModel lrb;
   QualityManager::Options options;
   options.generator.enable_frame_dropping = false;
   options.generator.enable_transcoding = false;
   options.generator.enable_relay = false;
-  QualityManager manager(&metadata, &api, &lrb, sites, options);
+  QualityManager manager(&metadata, &api, &lrb, sites, options,
+                         observability);
 
   const size_t limit = 2;
   Result<std::vector<QualityManager::RankedPlan>> plans =

@@ -35,7 +35,7 @@ class QualityManagerTest : public ::testing::Test {
   QualityManagerTest()
       : sites_({SiteId(0), SiteId(1)}),
         metadata_(sites_, meta::DistributedMetadataEngine::Options()),
-        api_(&pool_) {
+        api_(&pool_, observability_.metrics()) {
     for (SiteId site : sites_) {
       EXPECT_TRUE(pool_.DeclareBucket({site, ResourceKind::kCpu}, 1.0).ok());
       EXPECT_TRUE(pool_.DeclareBucket({site, ResourceKind::kNetworkBandwidth}, 3200.0).ok());
@@ -53,7 +53,8 @@ class QualityManagerTest : public ::testing::Test {
   }
 
   QualityManager MakeManager(QualityManager::Options options = {}) {
-    return QualityManager(&metadata_, &api_, &lrb_, sites_, options);
+    return QualityManager(&metadata_, &api_, &lrb_, sites_, options,
+                          observability_);
   }
 
   query::QosRequirement WideQos() {
@@ -64,6 +65,7 @@ class QualityManagerTest : public ::testing::Test {
 
   std::vector<SiteId> sites_;
   meta::DistributedMetadataEngine metadata_;
+  obs::Observability observability_;
   res::ResourcePool pool_;
   res::CompositeQosApi api_;
   LrbCostModel lrb_;

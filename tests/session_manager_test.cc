@@ -19,7 +19,12 @@ namespace {
 
 class SessionManagerTest : public ::testing::Test {
  protected:
-  SessionManagerTest() : api_(&pool_), manager_(&simulator_, &api_) {
+  SessionManagerTest()
+      : api_(&pool_, observability_.metrics()),
+        manager_(&simulator_, &api_, observability_,
+                 [this](SessionId id, SimTime) {
+                   completed_ids_.push_back(id);
+                 }) {
     EXPECT_TRUE(pool_.DeclareBucket({SiteId(0), ResourceKind::kNetworkBandwidth}, 1000.0).ok());
     EXPECT_TRUE(pool_.DeclareBucket({SiteId(1), ResourceKind::kNetworkBandwidth}, 1000.0).ok());
   }
@@ -45,29 +50,25 @@ class SessionManagerTest : public ::testing::Test {
   }
 
   sim::Simulator simulator_;
+  obs::Observability observability_;
   res::ResourcePool pool_;
   res::CompositeQosApi api_;
+  // Every session the manager's completion callback reported, in order.
+  std::vector<SessionId> completed_ids_;
   SessionManager manager_;
 };
 
 TEST_F(SessionManagerTest, StartCapturesVectorAndCompletesOnce) {
-  SessionId completed_id(0);
-  int fired = 0;
-  manager_.set_on_complete([&](SessionId id, SimTime) {
-    completed_id = id;
-    ++fired;
-  });
   SessionId id = manager_.Start(ReservedRecord(Reserve(400.0)), 60.0);
   EXPECT_EQ(manager_.outstanding(), 1);
-  const SessionManager::Record* record = manager_.Find(id);
-  ASSERT_NE(record, nullptr);
+  std::optional<SessionManager::Record> record = manager_.Snapshot(id);
+  ASSERT_TRUE(record.has_value());
   EXPECT_FALSE(record->reserved_vector.empty());
 
   simulator_.RunAll();
   EXPECT_EQ(manager_.outstanding(), 0);
   EXPECT_EQ(manager_.completed(), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(completed_id, id);
+  EXPECT_EQ(completed_ids_, std::vector<SessionId>{id});
   EXPECT_EQ(api_.stats().released, 1u);
   EXPECT_DOUBLE_EQ(pool_.MaxUtilization(), 0.0);
 }
@@ -94,8 +95,8 @@ TEST_F(SessionManagerTest, ResumeFailureLeavesSessionPaused) {
 
   Status resumed = manager_.Resume(id);
   EXPECT_EQ(resumed.code(), StatusCode::kResourceExhausted);
-  const SessionManager::Record* record = manager_.Find(id);
-  ASSERT_NE(record, nullptr);
+  std::optional<SessionManager::Record> record = manager_.Snapshot(id);
+  ASSERT_TRUE(record.has_value());
   EXPECT_TRUE(record->paused);
   // Nothing was acquired by the failed resume.
   EXPECT_DOUBLE_EQ(pool_.MaxUtilization(), 0.9);
@@ -178,18 +179,16 @@ TEST_F(SessionManagerTest, CrossSiteLookupFindsEverySession) {
   }
   EXPECT_EQ(manager_.outstanding(), kSites);
   for (int site = 0; site < kSites; ++site) {
-    const SessionManager::Record* record = manager_.Find(ids[site]);
-    ASSERT_NE(record, nullptr) << "site " << site;
-    EXPECT_EQ(record->site, SiteId(site));
-    std::optional<SessionManager::Record> copy =
+    std::optional<SessionManager::Record> record =
         manager_.Snapshot(ids[site]);
-    ASSERT_TRUE(copy.has_value());
-    EXPECT_EQ(copy->content, LogicalOid(site));
+    ASSERT_TRUE(record.has_value()) << "site " << site;
+    EXPECT_EQ(record->site, SiteId(site));
+    EXPECT_EQ(record->content, LogicalOid(site));
   }
   ASSERT_TRUE(manager_.Pause(ids[3]).ok());
   ASSERT_TRUE(manager_.Resume(ids[3]).ok());
   ASSERT_TRUE(manager_.Cancel(ids[5]).ok());
-  EXPECT_EQ(manager_.Find(ids[5]), nullptr);
+  EXPECT_FALSE(manager_.Snapshot(ids[5]).has_value());
   EXPECT_EQ(manager_.outstanding(), kSites - 1);
   simulator_.RunAll();
   EXPECT_EQ(manager_.completed(), static_cast<uint64_t>(kSites - 1));

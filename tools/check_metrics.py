@@ -14,6 +14,10 @@ conventions documented in docs/OBSERVABILITY.md:
     either a copy-pasted registration (two subsystems fighting over
     one series) or a stringly-typed lookup that will silently drift
     when the registration is renamed.
+  * The names src/ registers and the names the "Metric catalog"
+    section of docs/OBSERVABILITY.md lists (first column of its tables)
+    are the same set: a registered series the catalog does not explain,
+    or a catalog row for a series nothing registers, fails the check.
 
 Test code (tests/, bench/) is deliberately out of scope: tests mint
 throwaway names like quasaq_stress_* that never reach an exposition.
@@ -38,6 +42,8 @@ NAME_RE = re.compile(
     % "|".join(UNITS))
 
 LITERAL_RE = re.compile(r'"(quasaq_[A-Za-z0-9_]+)"')
+
+CATALOG_NAME_RE = re.compile(r"`(quasaq_[A-Za-z0-9_]+)`")
 
 
 def check_files(files: dict[str, str]) -> list[str]:
@@ -65,11 +71,42 @@ def check_files(files: dict[str, str]) -> list[str]:
     return violations
 
 
-def metric_count(files: dict[str, str]) -> int:
+def registered_names(files: dict[str, str]) -> set[str]:
     names = set()
     for text in files.values():
         names.update(LITERAL_RE.findall(text))
-    return len(names)
+    return names
+
+
+def catalog_names(catalog: str) -> set[str]:
+    """Names in the first column of the tables under "## Metric catalog"
+    (up to the next level-2 heading)."""
+    names = set()
+    in_catalog = False
+    for line in catalog.splitlines():
+        if line.startswith("## "):
+            in_catalog = line.strip() == "## Metric catalog"
+            continue
+        if in_catalog and line.startswith("|"):
+            first_cell = line.split("|")[1]
+            names.update(CATALOG_NAME_RE.findall(first_cell))
+    return names
+
+
+def check_catalog(files: dict[str, str], catalog: str) -> list[str]:
+    """Returns one violation per name registered in src/ but missing
+    from the catalog, and per catalog name src/ does not register."""
+    registered = registered_names(files)
+    listed = catalog_names(catalog)
+    violations = [
+        f"metric '{name}' is registered in src/ but missing from the "
+        f"docs/OBSERVABILITY.md metric catalog"
+        for name in sorted(registered - listed)]
+    violations += [
+        f"metric '{name}' is listed in the docs/OBSERVABILITY.md metric "
+        f"catalog but not registered in src/"
+        for name in sorted(listed - registered)]
+    return violations
 
 
 def load_tree(src_root: Path) -> dict[str, str]:
@@ -104,6 +141,18 @@ def self_test() -> int:
                        '"quasaq_cache_used_kb"\n'),
         "core/b.cc": '"quasaq_session_duration_seconds"\n',
     }
+    catalog = (
+        "# Observability\n\n## Metric catalog\n\n"
+        "| name | type | meaning |\n|---|---|---|\n"
+        "| `quasaq_cache_hits_total` / `quasaq_cache_used_kb` | counter | "
+        "see `quasaq_other_mentioned_total` |\n"
+        "| `quasaq_session_duration_seconds` | histogram | length |\n\n"
+        "## Trace span hierarchy\n\n"
+        "| `quasaq_outside_catalog_total` | not a catalog row |\n")
+    unlisted = dict(clean)
+    unlisted["net/c.cc"] = '"quasaq_net_frames_total"\n'
+    stale = dict(clean)
+    del stale["core/b.cc"]
     failures = []
     if len(check_files(duplicate)) != 1:
         failures.append("duplicate registration not flagged")
@@ -113,11 +162,19 @@ def self_test() -> int:
         failures.append("malformed names not flagged")
     if check_files(clean):
         failures.append("conforming tree wrongly flagged")
+    if len(check_catalog(unlisted, catalog)) != 1:
+        failures.append("registered name missing from the catalog not "
+                        "flagged")
+    if len(check_catalog(stale, catalog)) != 1:
+        failures.append("catalog name nothing registers not flagged")
+    if check_catalog(clean, catalog):
+        failures.append("matching catalog wrongly flagged")
     for f in failures:
         print(f"self-test FAILED: {f}", file=sys.stderr)
     if not failures:
-        print("self-test ok: duplicates, bad units and malformed names "
-              "are flagged, conforming names pass")
+        print("self-test ok: duplicates, bad units, malformed names and "
+              "catalog drift in either direction are flagged, conforming "
+              "names pass")
     return 1 if failures else 0
 
 
@@ -132,23 +189,26 @@ def main() -> int:
     if args.self_test:
         return self_test()
 
-    src_root = Path(args.src) if args.src else (
-        Path(__file__).resolve().parent.parent / "src")
+    repo = Path(__file__).resolve().parent.parent
+    src_root = Path(args.src) if args.src else repo / "src"
     if not src_root.is_dir():
         print(f"error: src root not found: {src_root}", file=sys.stderr)
         return 2
+    catalog_path = repo / "docs" / "OBSERVABILITY.md"
 
     files = load_tree(src_root)
-    violations = check_files(files)
+    violations = check_files(files) + check_catalog(
+        files, catalog_path.read_text(encoding="utf-8"))
     for v in violations:
         print(v, file=sys.stderr)
     if violations:
-        print(f"\n{len(violations)} metric naming violation(s); the "
+        print(f"\n{len(violations)} metric violation(s); the "
               "convention is documented in docs/OBSERVABILITY.md",
               file=sys.stderr)
         return 1
-    print(f"metrics ok: {metric_count(files)} metric names are unique "
-          "and follow quasaq_<subsystem>_<noun>_<unit>")
+    print(f"metrics ok: {len(registered_names(files))} metric names are "
+          "unique, follow quasaq_<subsystem>_<noun>_<unit> and match the "
+          "catalog")
     return 0
 
 
