@@ -139,6 +139,7 @@ bool CheckStreamMatchesOracle() {
       core::MakeCostModel(options.cost_model, options.seed);
   core::RuntimeCostEvaluator evaluator(model.get());
   evaluator.Rank(*oracle, system.pool());
+  const res::PoolSnapshot snapshot = system.pool().Snapshot();
   const size_t expected = std::min(kLimit, oracle->size());
   if (streamed->size() != expected) {
     std::fprintf(stderr, "ranking divergence: %zu streamed vs %zu oracle\n",
@@ -148,7 +149,7 @@ bool CheckStreamMatchesOracle() {
   for (size_t i = 0; i < expected; ++i) {
     const core::QualityManager::RankedPlan& got = (*streamed)[i];
     const core::Plan& want = (*oracle)[i];
-    const double want_cost = evaluator.EfficiencyCost(want, system.pool());
+    const double want_cost = evaluator.EfficiencyCost(want, snapshot);
     if (got.cost != want_cost || got.plan.ToString() != want.ToString()) {
       std::fprintf(stderr,
                    "ranking divergence at rank %zu:\n  streamed %.17g %s\n"
@@ -217,7 +218,8 @@ int main(int argc, char** argv) {
                 rates.front(), rates.back(),
                 static_cast<unsigned long long>(admitted),
                 static_cast<unsigned long long>(rejected));
-    const std::string prefix = "t" + std::to_string(threads);
+    std::string prefix = "t";
+    prefix += std::to_string(threads);
     json.Add(prefix + ".admitted_per_sec_median", median);
     json.Add(prefix + ".admitted_per_sec_min", rates.front());
     json.Add(prefix + ".admitted_per_sec_max", rates.back());

@@ -72,10 +72,11 @@ int main() {
   plans[2].second.Add(r4, 20.0);
 
   core::LrbCostModel lrb;
+  const res::PoolSnapshot snapshot = pool.Snapshot();
   double best_cost = 0.0;
   const char* best = nullptr;
   for (auto& [name, demand] : plans) {
-    double cost = lrb.Cost(demand, pool);
+    double cost = lrb.Cost(demand, snapshot);
     std::printf("  %s: f(p) = max bucket height = %.2f\n", name, cost);
     PrintBuckets(pool, demand);
     if (best == nullptr || cost < best_cost) {

@@ -178,7 +178,7 @@ int main() {
       if (api.Admissible(plan.resources)) break;
     }
 
-    core::PlanStream stream(&generator, evaluator, &pool, site_a,
+    core::PlanStream stream(&generator, evaluator, pool, site_a,
                             LogicalOid(0), qos);
     assert(stream.status().ok());
     size_t streamed_position = 0;

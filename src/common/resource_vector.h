@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -97,17 +96,5 @@ class ResourceVector {
 };
 
 }  // namespace quasaq
-
-namespace std {
-
-template <>
-struct hash<quasaq::BucketId> {
-  size_t operator()(const quasaq::BucketId& id) const {
-    return std::hash<int64_t>()(id.site.value() * 31 +
-                                static_cast<int64_t>(id.kind));
-  }
-};
-
-}  // namespace std
 
 #endif  // QUASAQ_COMMON_RESOURCE_VECTOR_H_

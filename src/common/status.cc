@@ -16,6 +16,8 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "RESOURCE_EXHAUSTED";
     case StatusCode::kFailedPrecondition:
       return "FAILED_PRECONDITION";
+    case StatusCode::kAborted:
+      return "ABORTED";
     case StatusCode::kUnavailable:
       return "UNAVAILABLE";
     case StatusCode::kUnimplemented:

@@ -21,6 +21,8 @@ enum class StatusCode {
   // Admission control turned the request away: resources exhausted.
   kResourceExhausted,
   kFailedPrecondition,
+  // The operation lost a race: the state it was decided on has changed.
+  kAborted,
   kUnavailable,
   kUnimplemented,
   kInternal,
@@ -56,6 +58,9 @@ class [[nodiscard]] Status {
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
+  }
+  static Status Aborted(std::string msg) {
+    return Status(StatusCode::kAborted, std::move(msg));
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));

@@ -3,15 +3,18 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <utility>
 
 namespace quasaq::core {
 
-RuntimeCostEvaluator::RuntimeCostEvaluator(CostModel* model) : model_(model) {
+RuntimeCostEvaluator::RuntimeCostEvaluator(CostModel* model,
+                                           GainFunction gain)
+    : model_(model), gain_(std::move(gain)) {
   assert(model_ != nullptr);
 }
 
 double RuntimeCostEvaluator::EfficiencyCost(
-    const Plan& plan, const res::ResourcePool& pool) const {
+    const Plan& plan, const res::PoolSnapshot& pool) const {
   double cost = model_->Cost(plan.resources, pool);
   double gain = gain_ ? gain_(plan) : 1.0;
   assert(gain > 0.0);
@@ -19,8 +22,8 @@ double RuntimeCostEvaluator::EfficiencyCost(
 }
 
 double RuntimeCostEvaluator::NormalizedDemand(const Plan& plan,
-                                              const res::ResourcePool& pool) {
-  return pool.FractionalDemand(plan.resources);
+                                              const res::PoolSnapshot& pool) {
+  return pool.NormalizedDemand(plan.resources);
 }
 
 bool RuntimeCostEvaluator::SupportsCostLowerBound() const {
@@ -34,11 +37,12 @@ void RuntimeCostEvaluator::Rank(std::vector<Plan>& plans,
     double demand;           // total normalized demand (tie-break)
     size_t index;            // enumeration order (final tie-break)
   };
+  const res::PoolSnapshot snapshot = pool.Snapshot();
   std::vector<Key> keys;
   keys.reserve(plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {
-    keys.push_back(Key{EfficiencyCost(plans[i], pool),
-                       NormalizedDemand(plans[i], pool), i});
+    keys.push_back(Key{EfficiencyCost(plans[i], snapshot),
+                       NormalizedDemand(plans[i], snapshot), i});
   }
   std::vector<size_t> order(plans.size());
   std::iota(order.begin(), order.end(), 0);

@@ -22,23 +22,22 @@ class RuntimeCostEvaluator {
   // cost-efficiency. Must return positive values.
   using GainFunction = std::function<double(const Plan&)>;
 
-  /// `model` must outlive the evaluator.
-  explicit RuntimeCostEvaluator(CostModel* model);
+  /// `model` must outlive the evaluator. An empty `gain` means G = 1.
+  explicit RuntimeCostEvaluator(CostModel* model, GainFunction gain = {});
 
-  void set_gain_function(GainFunction gain) { gain_ = std::move(gain); }
-
-  /// The ranking key of one plan: C(r)/G under `pool`'s current usage.
-  /// Exposed so EXPLAIN paths and benchmarks cost plans exactly as the
-  /// ranking does. Note that for cache-served plan variants the C(r)
-  /// side already reflects the disk->memory-bandwidth resource swap
-  /// performed by FinalizePlan — no cache special-casing happens here.
-  double EfficiencyCost(const Plan& plan, const res::ResourcePool& pool) const;
+  /// The ranking key of one plan: C(r)/G under the usage `pool`
+  /// recorded. Exposed so EXPLAIN paths and benchmarks cost plans
+  /// exactly as the ranking does. Note that for cache-served plan
+  /// variants the C(r) side already reflects the disk->memory-bandwidth
+  /// resource swap performed by FinalizePlan — no cache special-casing
+  /// happens here.
+  double EfficiencyCost(const Plan& plan, const res::PoolSnapshot& pool) const;
 
   /// The first tie-break of Rank(): the plan's total normalized demand
   /// (sum of amount/capacity over the buckets it touches). Exposed so
   /// PlanStream breaks ties exactly as the eager ranking does.
   static double NormalizedDemand(const Plan& plan,
-                                 const res::ResourcePool& pool);
+                                 const res::PoolSnapshot& pool);
 
   /// True when EfficiencyCost can be lower-bounded from a partial
   /// resource vector: the pure LRB model with no gain function. Any
@@ -47,7 +46,8 @@ class RuntimeCostEvaluator {
   /// to exhaustive (but still lazily ordered) search for them.
   bool SupportsCostLowerBound() const;
 
-  /// Sorts `plans` by ascending C(r)/G under `pool`'s current usage.
+  /// Sorts `plans` by ascending C(r)/G under `pool`'s current usage,
+  /// costing every plan against one snapshot of it.
   /// Ties break toward the plan with the smaller total normalized
   /// demand — which is what lets a cache-served variant overtake its
   /// disk twin when neither resource is the LRB-hot bucket — then

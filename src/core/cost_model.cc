@@ -21,31 +21,28 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
 }  // namespace
 
 double LrbCostModel::Cost(const ResourceVector& demand,
-                          const res::ResourcePool& pool) {
-  // Fullest bucket once the demand is overlaid. The bulk read keeps
-  // the whole scan inside one pool-lock acquisition, so concurrent
-  // admissions costing hundreds of plans don't serialize on per-bucket
-  // getters.
-  return pool.OverlayMaxFill(demand);
+                          const res::PoolSnapshot& pool) {
+  // Fullest bucket once the demand is overlaid.
+  return pool.MaxFill(demand);
 }
 
 double RandomCostModel::Cost(const ResourceVector& demand,
-                             const res::ResourcePool& pool) {
+                             const res::PoolSnapshot& pool) {
   (void)demand;
   (void)pool;
   return rng_.NextDouble();
 }
 
 double MinTotalCostModel::Cost(const ResourceVector& demand,
-                               const res::ResourcePool& pool) {
-  return pool.FractionalDemand(demand);
+                               const res::PoolSnapshot& pool) {
+  return pool.NormalizedDemand(demand);
 }
 
 double WeightedSumCostModel::Cost(const ResourceVector& demand,
-                                  const res::ResourcePool& pool) {
+                                  const res::PoolSnapshot& pool) {
   // Quadratic fill penalty: loading an already-hot bucket costs more
   // than the same demand on a cold one.
-  return pool.OverlaySquaredFill(demand);
+  return pool.SquaredFill(demand);
 }
 
 std::unique_ptr<CostModel> MakeCostModel(std::string_view name,

@@ -26,7 +26,7 @@ class CostModel {
   /// Cost of adding `demand` on top of the usage recorded in `pool`.
   /// Lower is better. Models may be stateful (Random), hence non-const.
   virtual double Cost(const ResourceVector& demand,
-                      const res::ResourcePool& pool) = 0;
+                      const res::PoolSnapshot& pool) = 0;
 };
 
 // Lowest Resource Bucket (the paper's model): fill every bucket with the
@@ -38,7 +38,7 @@ class LrbCostModel : public CostModel {
  public:
   std::string_view name() const override { return "LRB"; }
   double Cost(const ResourceVector& demand,
-              const res::ResourcePool& pool) override;
+              const res::PoolSnapshot& pool) override;
 };
 
 // Randomized plan choice: assigns each plan a uniform random cost. A
@@ -50,7 +50,7 @@ class RandomCostModel : public CostModel {
 
   std::string_view name() const override { return "Random"; }
   double Cost(const ResourceVector& demand,
-              const res::ResourcePool& pool) override;
+              const res::PoolSnapshot& pool) override;
 
  private:
   Rng rng_;
@@ -63,7 +63,7 @@ class MinTotalCostModel : public CostModel {
  public:
   std::string_view name() const override { return "MinTotal"; }
   double Cost(const ResourceVector& demand,
-              const res::ResourcePool& pool) override;
+              const res::PoolSnapshot& pool) override;
 };
 
 // Weighted sum of post-admission fill levels across all buckets —
@@ -72,7 +72,7 @@ class WeightedSumCostModel : public CostModel {
  public:
   std::string_view name() const override { return "WeightedSum"; }
   double Cost(const ResourceVector& demand,
-              const res::ResourcePool& pool) override;
+              const res::PoolSnapshot& pool) override;
 };
 
 /// Factory by name ("lrb", "random", "mintotal", "weightedsum");

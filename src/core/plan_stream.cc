@@ -7,15 +7,14 @@ namespace quasaq::core {
 
 PlanStream::PlanStream(const PlanGenerator* generator,
                        RuntimeCostEvaluator evaluator,
-                       const res::ResourcePool* pool, SiteId query_site,
+                       const res::ResourcePool& pool, SiteId query_site,
                        LogicalOid content, const query::QosRequirement& qos,
                        SimTime* metadata_latency)
     : generator_(generator),
       evaluator_(std::move(evaluator)),
-      pool_(pool),
+      snapshot_(pool.Snapshot()),
       qos_(qos) {
   assert(generator_ != nullptr);
-  assert(pool_ != nullptr);
   Result<std::vector<PlanGenerator::GroupSeed>> groups =
       generator_->EnumerateGroups(query_site, content, metadata_latency);
   if (!groups.ok()) {
@@ -38,7 +37,7 @@ void PlanStream::SeedFrontier() {
     entry.cost = bounded
                      ? evaluator_.model().Cost(
                            generator_->RetrievalTransferDemand(groups_[i]),
-                           *pool_)
+                           snapshot_)
                      : 0.0;
     entry.demand = -1.0;
     entry.group_index = i;
@@ -47,10 +46,12 @@ void PlanStream::SeedFrontier() {
 }
 
 void PlanStream::Reset(const query::QosRequirement& qos,
-                       RuntimeCostEvaluator evaluator) {
+                       RuntimeCostEvaluator evaluator,
+                       const res::ResourcePool& pool) {
   if (!status_.ok()) return;
   qos_ = qos;
   evaluator_ = std::move(evaluator);
+  snapshot_ = pool.Snapshot();
   plans_.clear();
   frontier_ = {};
   // Each round enters every group again; groups_expanded keeps
@@ -69,8 +70,8 @@ void PlanStream::ExpandGroup(size_t group_index) {
   size_t within = 0;
   for (Plan& plan : expanded) {
     Ranked ranked;
-    ranked.cost = evaluator_.EfficiencyCost(plan, *pool_);
-    ranked.demand = RuntimeCostEvaluator::NormalizedDemand(plan, *pool_);
+    ranked.cost = evaluator_.EfficiencyCost(plan, snapshot_);
+    ranked.demand = RuntimeCostEvaluator::NormalizedDemand(plan, snapshot_);
     ranked.plan = std::move(plan);
     plans_.push_back(std::move(ranked));
 

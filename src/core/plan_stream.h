@@ -64,14 +64,15 @@ class PlanStream {
     size_t plans_yielded = 0;
   };
 
-  /// All pointers must outlive the stream. The stream captures the
+  /// `generator` must outlive the stream. The stream captures the
   /// search space of `content` under `qos` as seen from `query_site`
-  /// and ranks it with its own copy of `evaluator`; costs are evaluated
-  /// against `pool`'s usage at expansion time, so a stream must be
-  /// consumed before reservations move the pool. Groups are expanded
-  /// one at a time on the calling thread, in frontier order.
+  /// and ranks it with its own copy of `evaluator`, costing every plan
+  /// against one snapshot of `pool` taken here: reservations that move
+  /// the pool afterwards do not change the ranking until Reset. Groups
+  /// are expanded one at a time on the calling thread, in frontier
+  /// order.
   PlanStream(const PlanGenerator* generator, RuntimeCostEvaluator evaluator,
-             const res::ResourcePool* pool, SiteId query_site,
+             const res::ResourcePool& pool, SiteId query_site,
              LogicalOid content, const query::QosRequirement& qos,
              SimTime* metadata_latency = nullptr);
 
@@ -81,17 +82,16 @@ class PlanStream {
 
   /// Re-arms the stream over the already-enumerated (replica, site)
   /// groups for a new QoS window, ranked by `evaluator` (the window's
-  /// gain may differ from the last one's): pending plans and frontier
-  /// state are discarded, group bounds are recomputed against the pool's
-  /// current usage, and enumeration restarts from scratch — without
-  /// re-fetching metadata. This is how a renegotiation's relaxation
-  /// rounds reuse one stream instead of re-seeding enumeration per
-  /// round. The cumulative stats keep counting across rounds (groups
-  /// grows by the group count per round, so groups_pruned() stays
-  /// consistent).
-  /// No-op on a failed stream.
-  void Reset(const query::QosRequirement& qos,
-             RuntimeCostEvaluator evaluator);
+  /// gain may differ from the last one's) against a fresh snapshot of
+  /// `pool`: pending plans and frontier state are discarded, group
+  /// bounds are recomputed, and enumeration restarts from scratch —
+  /// without re-fetching metadata. This is how a renegotiation's
+  /// relaxation rounds reuse one stream instead of re-seeding
+  /// enumeration per round. The cumulative stats keep counting across
+  /// rounds (groups grows by the group count per round, so
+  /// groups_pruned() stays consistent). No-op on a failed stream.
+  void Reset(const query::QosRequirement& qos, RuntimeCostEvaluator evaluator,
+             const res::ResourcePool& pool);
 
   /// The next plan in ranking order, or nullopt when the space is
   /// exhausted.
@@ -141,7 +141,7 @@ class PlanStream {
 
   const PlanGenerator* generator_;
   RuntimeCostEvaluator evaluator_;
-  const res::ResourcePool* pool_;
+  res::PoolSnapshot snapshot_;
   query::QosRequirement qos_;
   Status status_;
   std::vector<PlanGenerator::GroupSeed> groups_;

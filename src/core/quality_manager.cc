@@ -122,27 +122,28 @@ void QualityManager::PopulateDefaultTranscodeTargets(
 }
 
 RuntimeCostEvaluator QualityManager::EvaluatorFor(
-    const query::QosRequirement& qos, AdmissionContext& context) const {
-  context.gain =
-      options_.goal == OptimizationGoal::kUserSatisfaction
-          ? MakeSatisfactionGain(qos.range, options_.utility_weights)
-          : nullptr;
-  RuntimeCostEvaluator evaluator(cost_model_);
-  evaluator.set_gain_function(context.gain);
-  return evaluator;
+    const query::QosRequirement& qos) const {
+  if (options_.goal != OptimizationGoal::kUserSatisfaction) {
+    return RuntimeCostEvaluator(cost_model_);
+  }
+  return RuntimeCostEvaluator(
+      cost_model_, MakeSatisfactionGain(qos.range, options_.utility_weights));
 }
 
 template <typename Adopt>
 QualityManager::WalkResult QualityManager::RelaxationWalk(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    const UserProfile* profile, AdmissionContext& context, bool screen,
+    const UserProfile* profile, const AdmissionContext& context, bool screen,
     const Adopt& adopt) {
   WalkResult walk;
   // One PlanStream serves every round: relaxation rounds Reset() it over
   // the already-enumerated groups instead of re-fetching metadata and
-  // re-seeding per round.
-  PlanStream stream(&generator_, EvaluatorFor(qos, context),
-                    &qos_api_->pool(), query_site, content, qos);
+  // re-seeding per round. Each round costs its plans against one pool
+  // snapshot; a failed adoption leaves the pool exactly as it was, so
+  // nothing moves under the round. Concurrent admissions may move it,
+  // which is why `adopt` (Reserve) stays the authoritative fit test.
+  PlanStream stream(&generator_, EvaluatorFor(qos), qos_api_->pool(),
+                    query_site, content, qos);
   if (!stream.status().ok()) {
     walk.admitted = stream.status();
     return walk;
@@ -159,7 +160,7 @@ QualityManager::WalkResult QualityManager::RelaxationWalk(
       }
       metrics_.relaxations->Increment();
       TraceInstant(context, "plan.relax");
-      stream.Reset(relaxed, EvaluatorFor(relaxed, context));
+      stream.Reset(relaxed, EvaluatorFor(relaxed), qos_api_->pool());
       walk.rounds = round;
     }
 
@@ -258,9 +259,9 @@ Status QualityManager::CompleteDelivery(const Admitted& admitted) {
 
 Result<std::vector<QualityManager::RankedPlan>> QualityManager::ExplainPlans(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    size_t limit, AdmissionContext context) {
-  PlanStream stream(&generator_, EvaluatorFor(qos, context),
-                    &qos_api_->pool(), query_site, content, qos);
+    size_t limit) {
+  PlanStream stream(&generator_, EvaluatorFor(qos), qos_api_->pool(),
+                    query_site, content, qos);
   if (!stream.status().ok()) return stream.status();
   std::vector<RankedPlan> ranked;
   while (ranked.size() < limit) {

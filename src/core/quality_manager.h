@@ -38,28 +38,24 @@
 //
 // Thread-safety: Admit/Renegotiate/Explain may run concurrently from
 // many threads under every optimization goal, traced or not. Per-query
-// state (the gain for the QoS window, the trace track, the sim time)
-// travels in the AdmissionContext each call receives by value, and each
-// call and relaxation round ranks with its own RuntimeCostEvaluator.
-// The counters are the registry's atomics, resolved at construction;
-// the generator and the metadata read path are immutable or internally
-// synchronized.
+// state (the trace track, the sim time) travels in the AdmissionContext
+// each call receives by value, and each call and relaxation round ranks
+// with its own RuntimeCostEvaluator (carrying the window's gain) against
+// its own pool snapshot. Ranking is therefore optimistic under
+// concurrency; Reserve re-checks the fit atomically. The counters are
+// the registry's atomics, resolved at construction; the generator and
+// the metadata read path are immutable or internally synchronized.
 
 namespace quasaq::core {
 
 // Per-call admission state, passed by value into every QualityManager
-// planning call so concurrent calls share nothing mutable. Callers set
-// the trace fields; the manager fills `gain` for each QoS window it
-// ranks under (relaxation rounds change the window, and with it the
-// gain).
+// planning call so concurrent calls share nothing mutable.
 struct AdmissionContext {
   // Tracer::NewTrack track the call's spans render on; 0 = untraced.
   int64_t trace_track = 0;
   // Sim time stamped on every span (the sim clock does not advance
   // during admission).
   SimTime now = 0;
-  // Gain G of E = G / C(r) for the current QoS window; empty = 1.
-  RuntimeCostEvaluator::GainFunction gain;
 };
 
 class QualityManager {
@@ -175,8 +171,7 @@ class QualityManager {
   /// into the generated/candidates/groups-pruned counters like a walk.
   Result<std::vector<RankedPlan>> ExplainPlans(
       SiteId query_site, LogicalOid content,
-      const query::QosRequirement& qos, size_t limit = 10,
-      AdmissionContext context = {});
+      const query::QosRequirement& qos, size_t limit = 10);
 
   /// Renders an EXPLAIN listing for `content`, one plan per line with
   /// its cost, wire rate, startup latency and admissibility.
@@ -214,10 +209,10 @@ class QualityManager {
                   obs::Tracer::Args args = {});
   void TraceEnd(const AdmissionContext& context, obs::Tracer::Args args = {});
   void TraceInstant(const AdmissionContext& context, const char* name);
-  // Sets `context.gain` to the gain the optimization goal assigns to
-  // `qos`'s window and returns an evaluator ranking with it.
-  RuntimeCostEvaluator EvaluatorFor(const query::QosRequirement& qos,
-                                    AdmissionContext& context) const;
+  // An evaluator ranking with the gain the optimization goal assigns to
+  // `qos`'s window (relaxation rounds change the window, and with it
+  // the gain).
+  RuntimeCostEvaluator EvaluatorFor(const query::QosRequirement& qos) const;
   // What one relaxation walk found: the adopted plan (or why there is
   // none: the stream's failure, kResourceExhausted when plans were seen
   // but none adopted, kNotFound when no window yielded any), how many
@@ -245,7 +240,7 @@ class QualityManager {
   WalkResult RelaxationWalk(SiteId query_site, LogicalOid content,
                             const query::QosRequirement& qos,
                             const UserProfile* profile,
-                            AdmissionContext& context, bool screen,
+                            const AdmissionContext& context, bool screen,
                             const Adopt& adopt);
   // Counts one renegotiation, however many relaxation rounds its walk
   // retried, and marks the adopted plan renegotiated.

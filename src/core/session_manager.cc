@@ -194,12 +194,16 @@ Status SessionManager::Cancel(SessionId session) {
 }
 
 Status SessionManager::AdoptRenegotiatedPlan(SessionId session,
+                                             res::ReservationId replanned,
                                              SiteId delivery_site,
                                              const ResourceVector& resources) {
   MutexLock lock(&mu_);
   auto it = sessions_.find(session);
   if (it == sessions_.end()) return Status::NotFound("no such session");
   Record& record = it->second;
+  if (record.reservation != replanned) {
+    return Status::Aborted("session paused or resumed during the replan");
+  }
   record.site = delivery_site;
   record.reserved_vector = resources;
   return Status::Ok();

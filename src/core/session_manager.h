@@ -97,8 +97,13 @@ class SessionManager {
   /// Re-points a session at a renegotiated delivery: the new delivery
   /// site and the resource vector resume must re-admit. The reservation
   /// handle itself is unchanged (renegotiation swaps it in place); for
-  /// paused sessions nothing is acquired until Resume.
-  Status AdoptRenegotiatedPlan(SessionId session, SiteId delivery_site,
+  /// paused sessions nothing is acquired until Resume. `replanned` is
+  /// the reservation the renegotiation acted on (kInvalidReservationId
+  /// for a paused session); fails with kAborted, changing nothing, when
+  /// a Pause or Resume since then left the session holding another.
+  Status AdoptRenegotiatedPlan(SessionId session,
+                               res::ReservationId replanned,
+                               SiteId delivery_site,
                                const ResourceVector& resources);
 
   /// Copy of the session's record, or nullopt.

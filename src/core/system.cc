@@ -22,9 +22,8 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
                              const Options& options)
     : simulator_(simulator),
       options_(options),
-      observability_(obs::Tracer::Options{
-          options.observability.tracing,
-          options.observability.trace_max_events}),
+      observability_(
+          obs::Tracer::Options{.enabled = options.observability.tracing}),
       library_(media::BuildExperimentLibrary(options.library,
                                              options.topology.SiteIds())),
       qos_api_(&pool_, observability_.metrics()),
@@ -41,13 +40,14 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
   // Resource buckets: one CPU / net / disk / memory bucket per server.
   // Topology validation guarantees positive capacities; a violation here
   // is a construction bug, not a runtime condition.
+  constexpr double kServerCpuCapacity = 1.0;  // one CPU, as a fraction
   auto declare = [this](const BucketId& bucket, double capacity) {
     Status declared = pool_.DeclareBucket(bucket, capacity);
     assert(declared.ok());
     (void)declared;
   };
   for (const net::ServerSpec& server : options_.topology.servers) {
-    declare({server.id, ResourceKind::kCpu}, options_.cpu_capacity);
+    declare({server.id, ResourceKind::kCpu}, kServerCpuCapacity);
     declare({server.id, ResourceKind::kNetworkBandwidth},
             server.outbound_kbps);
     declare({server.id, ResourceKind::kDiskBandwidth}, server.disk_kbps);
@@ -347,11 +347,11 @@ Result<MediaDbSystem::DeliveryOutcome> MediaDbSystem::ChangeSessionQos(
   }
   if (!admitted.ok()) return admitted.status();
   SampleResourceTelemetry();
+  // A cancel, complete, pause or resume racing the replan fails the
+  // adoption instead of reporting a plan the session does not hold.
   Status adopted = session_manager_.AdoptRenegotiatedPlan(
-      session, admitted->plan.delivery_site, admitted->plan.resources);
-  // The session can only disappear between the snapshot above and the
-  // adoption if the caller raced its own cancel/complete; surface that
-  // instead of silently keeping the renegotiated reservation unadopted.
+      session, record->reservation, admitted->plan.delivery_site,
+      admitted->plan.resources);
   if (!adopted.ok()) return adopted;
   DeliveryOutcome outcome;
   outcome.status = Status::Ok();
@@ -414,7 +414,8 @@ std::string MediaDbSystem::ReportString() const {
     out += buf;
   }
   if (cache_manager_ != nullptr) {
-    out += "\n" + cache_manager_->ReportString();
+    out += '\n';
+    out += cache_manager_->ReportString();
   }
   return out;
 }

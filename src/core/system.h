@@ -76,8 +76,6 @@ class MediaDbSystem {
     std::string cost_model = "lrb";
     uint64_t seed = 1;
     QualityManager::Options quality;
-    // CPU capacity of one server, as a fraction (1.0 = one CPU).
-    double cpu_capacity = 1.0;
     // Oversubscribed VDBMS links stretch session time up to this factor.
     double vdbms_max_stretch = 2.5;
     meta::QosSampler::Options sampler;
@@ -111,11 +109,9 @@ class MediaDbSystem {
     // planning. Per-session trace recording is opt-in.
     struct Observability {
       // Record per-delivery spans (admit → plan → stream →
-      // renegotiate → complete) for Chrome trace-event export.
+      // renegotiate → complete) for Chrome trace-event export, up to
+      // the tracer's default event cap (obs::Tracer::Options).
       bool tracing = false;
-      // Cap on buffered trace events; Begin/Instant past the cap are
-      // dropped (counted), End is always kept so spans stay closed.
-      size_t trace_max_events = 1 << 20;
     };
     Observability observability;
   };

@@ -72,10 +72,11 @@ bool AppQosRange::AcceptsFormat(VideoFormat format) const {
 }
 
 std::string AppQosRange::ToString() const {
-  std::string out = "[" + ResolutionToString(min_resolution) + "..." +
-                    ResolutionToString(max_resolution) + ", " +
-                    std::to_string(min_color_depth_bits) + "..." +
-                    std::to_string(max_color_depth_bits) + "bit, ";
+  std::string out = "[";
+  out += ResolutionToString(min_resolution) + "..." +
+         ResolutionToString(max_resolution) + ", " +
+         std::to_string(min_color_depth_bits) + "..." +
+         std::to_string(max_color_depth_bits) + "bit, ";
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.3g...%.3gfps", min_frame_rate,
                 max_frame_rate);

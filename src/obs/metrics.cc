@@ -86,7 +86,8 @@ std::string JsonLabelObject(const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + JsonEscapeString(k) + "\": \"" + JsonEscapeString(v) + "\"";
+    out += '"';
+    out += JsonEscapeString(k) + "\": \"" + JsonEscapeString(v) + "\"";
   }
   out += '}';
   return out;
@@ -402,7 +403,8 @@ std::string MetricsRegistry::RenderJson(const View& view) {
     for (const auto& [key, series] : family.series) {
       if (!first_series) out += ',';
       first_series = false;
-      out += "\n      {\"labels\": " + JsonLabelObject(series.labels);
+      out += "\n      {\"labels\": ";
+      out += JsonLabelObject(series.labels);
       switch (family.type) {
         case MetricType::kCounter:
           out += ", \"value\": " + JsonNumberOrNull(series.value) + "}";
@@ -415,7 +417,8 @@ std::string MetricsRegistry::RenderJson(const View& view) {
             for (const TimeSeries::Sample& s : series.history.samples()) {
               if (!first_sample) out += ", ";
               first_sample = false;
-              out += "[" + JsonNumberOrNull(SimTimeToSeconds(s.time)) + ", " +
+              out += '[';
+              out += JsonNumberOrNull(SimTimeToSeconds(s.time)) + ", " +
                      JsonNumberOrNull(s.value) + "]";
             }
             out += ']';

@@ -159,8 +159,9 @@ std::string Tracer::ChromeTraceJson() const {
       for (const auto& [key, value] : event.args) {
         if (!first_arg) body += ", ";
         first_arg = false;
-        body += "\"" + JsonEscapeString(key) + "\": \"" +
-                JsonEscapeString(value) + "\"";
+        body += '"';
+        body += JsonEscapeString(key) + "\": \"" + JsonEscapeString(value) +
+                "\"";
       }
       body += '}';
     }

@@ -5,6 +5,62 @@
 
 namespace quasaq::res {
 
+namespace {
+
+// Where `bucket` is, or belongs, in an id-sorted bucket table.
+template <typename Table>
+auto LowerBound(Table& table, const BucketId& bucket) {
+  return std::lower_bound(table.begin(), table.end(), bucket,
+                          [](const auto& state, const BucketId& id) {
+                            return state.fill.bucket < id;
+                          });
+}
+
+// The entry for `bucket` in an id-sorted bucket table, or nullptr.
+template <typename Table>
+auto* Find(Table& table, const BucketId& bucket) {
+  auto it = LowerBound(table, bucket);
+  return it != table.end() && it->fill.bucket == bucket ? &*it : nullptr;
+}
+
+}  // namespace
+
+template <typename Visit>
+void PoolSnapshot::Overlay(const ResourceVector& demand, Visit visit) const {
+  auto entry = demand.entries().begin();
+  const auto end = demand.entries().end();
+  for (const BucketFill& bucket : buckets_) {
+    while (entry != end && entry->bucket < bucket.bucket) ++entry;
+    const bool touched = entry != end && entry->bucket == bucket.bucket;
+    visit(bucket, touched ? entry->amount : 0.0);
+  }
+}
+
+double PoolSnapshot::MaxFill(const ResourceVector& demand) const {
+  double max_fill = 0.0;
+  Overlay(demand, [&max_fill](const BucketFill& bucket, double amount) {
+    max_fill = std::max(max_fill, bucket.Fill(amount));
+  });
+  return max_fill;
+}
+
+double PoolSnapshot::SquaredFill(const ResourceVector& demand) const {
+  double total = 0.0;
+  Overlay(demand, [&total](const BucketFill& bucket, double amount) {
+    const double fill = bucket.Fill(amount);
+    total += fill * fill;
+  });
+  return total;
+}
+
+double PoolSnapshot::NormalizedDemand(const ResourceVector& demand) const {
+  double total = 0.0;
+  Overlay(demand, [&total](const BucketFill& bucket, double amount) {
+    total += amount / bucket.capacity;
+  });
+  return total;
+}
+
 Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
   const int64_t units = ToLedgerUnits(capacity);
   if (units <= 0) {
@@ -13,91 +69,53 @@ Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
                                    "unit of capacity");
   }
   MutexLock lock(&mu_);
-  auto [it, inserted] = buckets_.try_emplace(bucket);
-  it->second.capacity = units;
-  it->second.capacity_value = FromLedgerUnits(units);
-  if (inserted) {
-    ordered_buckets_.insert(std::lower_bound(ordered_buckets_.begin(),
-                                             ordered_buckets_.end(), bucket),
-                            bucket);
+  auto it = LowerBound(buckets_, bucket);
+  if (it == buckets_.end() || it->fill.bucket != bucket) {
+    it = buckets_.insert(it, BucketState{BucketFill{bucket}});
   }
+  it->capacity = units;
+  it->fill.capacity = FromLedgerUnits(units);
   return Status::Ok();
 }
 
-double ResourcePool::OverlayMaxFill(const ResourceVector& demand) const {
+PoolSnapshot ResourcePool::Snapshot() const {
   MutexLock lock(&mu_);
-  double max_fill = 0.0;
-  for (const auto& [bucket, state] : buckets_) {
-    max_fill = std::max(max_fill, state.Fill(demand.Get(bucket)));
-  }
-  return max_fill;
-}
-
-double ResourcePool::OverlaySquaredFill(const ResourceVector& demand) const {
-  MutexLock lock(&mu_);
-  double total = 0.0;
-  for (const BucketId& bucket : ordered_buckets_) {
-    const BucketState& state = buckets_.find(bucket)->second;
-    double fill = state.Fill(demand.Get(bucket));
-    total += fill * fill;
-  }
-  return total;
-}
-
-double ResourcePool::FractionalDemand(const ResourceVector& demand) const {
-  MutexLock lock(&mu_);
-  double total = 0.0;
-  for (const ResourceVector::Entry& e : demand.entries()) {
-    auto it = buckets_.find(e.bucket);
-    if (it == buckets_.end()) continue;
-    total += e.amount / it->second.capacity_value;
-  }
-  return total;
-}
-
-std::vector<std::pair<BucketId, double>> ResourcePool::UtilizationSnapshot()
-    const {
-  MutexLock lock(&mu_);
-  std::vector<std::pair<BucketId, double>> out;
-  out.reserve(ordered_buckets_.size());
-  for (const BucketId& bucket : ordered_buckets_) {
-    const BucketState& state = buckets_.find(bucket)->second;
-    out.emplace_back(bucket, state.Fill(0.0));
-  }
-  return out;
+  std::vector<BucketFill> fills;
+  fills.reserve(buckets_.size());
+  for (const BucketState& state : buckets_) fills.push_back(state.fill);
+  return PoolSnapshot(std::move(fills));
 }
 
 bool ResourcePool::HasBucket(const BucketId& bucket) const {
   MutexLock lock(&mu_);
-  return buckets_.count(bucket) > 0;
+  return Find(buckets_, bucket) != nullptr;
 }
 
 double ResourcePool::Capacity(const BucketId& bucket) const {
   MutexLock lock(&mu_);
-  auto it = buckets_.find(bucket);
-  return it == buckets_.end() ? 0.0 : it->second.capacity_value;
+  const auto* state = Find(buckets_, bucket);
+  return state == nullptr ? 0.0 : state->fill.capacity;
 }
 
 double ResourcePool::Used(const BucketId& bucket) const {
   MutexLock lock(&mu_);
-  auto it = buckets_.find(bucket);
-  return it == buckets_.end() ? 0.0 : it->second.used_value;
+  const auto* state = Find(buckets_, bucket);
+  return state == nullptr ? 0.0 : state->fill.used;
 }
 
 double ResourcePool::Utilization(const BucketId& bucket) const {
   MutexLock lock(&mu_);
-  auto it = buckets_.find(bucket);
-  if (it == buckets_.end()) return 0.0;
-  return it->second.Fill(0.0);
+  const auto* state = Find(buckets_, bucket);
+  return state == nullptr ? 0.0 : state->fill.Fill(0.0);
 }
 
 bool ResourcePool::FitsLocked(const ResourceVector& demand,
                               std::vector<BucketId>* overflowing) const {
   bool fits = true;
   for (const ResourceVector::Entry& e : demand.entries()) {
-    auto it = buckets_.find(e.bucket);
-    if (it == buckets_.end()) return false;
-    if (it->second.used + ToLedgerUnits(e.amount) > it->second.capacity) {
+    const auto* state = Find(buckets_, e.bucket);
+    if (state == nullptr) return false;
+    if (state->used + ToLedgerUnits(e.amount) > state->capacity) {
       if (overflowing == nullptr) return false;
       overflowing->push_back(e.bucket);
       fits = false;
@@ -115,7 +133,7 @@ Status ResourcePool::Acquire(const ResourceVector& demand,
                              std::vector<BucketId>* overflowing) {
   MutexLock lock(&mu_);
   for (const ResourceVector::Entry& e : demand.entries()) {
-    if (buckets_.count(e.bucket) == 0) {
+    if (Find(buckets_, e.bucket) == nullptr) {
       return Status::NotFound("undeclared bucket " +
                               BucketIdToString(e.bucket));
     }
@@ -124,7 +142,7 @@ Status ResourcePool::Acquire(const ResourceVector& demand,
     return Status::ResourceExhausted("bucket would overflow");
   }
   for (const ResourceVector::Entry& e : demand.entries()) {
-    buckets_[e.bucket].AddUsed(ToLedgerUnits(e.amount));
+    Find(buckets_, e.bucket)->AddUsed(ToLedgerUnits(e.amount));
   }
   return Status::Ok();
 }
@@ -133,51 +151,39 @@ Status ResourcePool::Release(const ResourceVector& demand) {
   MutexLock lock(&mu_);
   Status status = Status::Ok();
   for (const ResourceVector::Entry& e : demand.entries()) {
-    auto it = buckets_.find(e.bucket);
-    if (it == buckets_.end()) {
+    auto* state = Find(buckets_, e.bucket);
+    if (state == nullptr) {
       status = Status::FailedPrecondition("release touches undeclared bucket " +
                                           BucketIdToString(e.bucket));
       continue;
     }
     int64_t units = ToLedgerUnits(e.amount);
-    if (units > it->second.used) {
+    if (units > state->used) {
       status = Status::FailedPrecondition(
           "over-release on bucket " + BucketIdToString(e.bucket) +
           " (usage clamped to zero)");
-      units = it->second.used;
+      units = state->used;
     }
-    it->second.AddUsed(-units);
+    state->AddUsed(-units);
   }
   return status;
 }
 
-std::vector<BucketId> ResourcePool::BucketsLocked() const {
-  return ordered_buckets_;
-}
-
 std::vector<BucketId> ResourcePool::Buckets() const {
   MutexLock lock(&mu_);
-  return BucketsLocked();
-}
-
-double ResourcePool::MaxUtilization() const {
-  MutexLock lock(&mu_);
-  double max_util = 0.0;
-  for (const auto& [id, state] : buckets_) {
-    max_util = std::max(max_util, state.Fill(0.0));
-  }
-  return max_util;
+  std::vector<BucketId> ids;
+  ids.reserve(buckets_.size());
+  for (const BucketState& state : buckets_) ids.push_back(state.fill.bucket);
+  return ids;
 }
 
 std::string ResourcePool::DebugString() const {
-  MutexLock lock(&mu_);
+  const PoolSnapshot snapshot = Snapshot();
   std::string out;
-  for (const BucketId& id : BucketsLocked()) {
-    const BucketState& state = buckets_.find(id)->second;
-    double util = state.Fill(0.0);
+  for (const BucketFill& bucket : snapshot.buckets()) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%s=%.2f ",
-                  BucketIdToString(id).c_str(), util);
+                  BucketIdToString(bucket.bucket).c_str(), bucket.Fill(0.0));
     out += buf;
   }
   if (!out.empty()) out.pop_back();

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,12 +22,53 @@
 // integers. Acquire and Release convert the same amount the same way,
 // so they cancel exactly in any order and a drained pool reads 0.
 //
-// Thread-safe: one mutex guards the whole bucket table, so concurrent
-// AdmitQuery calls cost plans against a consistent usage snapshot and
-// Acquire stays all-or-nothing under contention. ResourcePool::mu_ is a
-// leaf lock in the system's lock order (docs/ARCHITECTURE.md).
+// Thread-safe: one mutex guards the whole bucket table, so Acquire
+// stays all-or-nothing under contention and Snapshot reads one
+// consistent usage vector. ResourcePool::mu_ is a leaf lock in the
+// system's lock order (docs/ARCHITECTURE.md).
 
 namespace quasaq::res {
+
+// One bucket as a snapshot records it: U_i and R_i in its unit.
+struct BucketFill {
+  BucketId bucket;
+  double used = 0.0;
+  double capacity = 0.0;
+
+  // (U_i + extra) / R_i, with a plan's demand `extra` overlaid unrounded.
+  double Fill(double extra) const { return (used + extra) / capacity; }
+
+  friend bool operator==(const BucketFill&, const BucketFill&) = default;
+};
+
+// An immutable copy of every declared bucket, sorted by id: the
+// "current system status" under which paper §3.4 costs a plan. Each
+// formula is one merge walk over the snapshot and a demand's id-sorted
+// entries; untouched buckets are overlaid with 0 and undeclared buckets
+// in the demand are ignored.
+class PoolSnapshot {
+ public:
+  explicit PoolSnapshot(std::vector<BucketFill> buckets)
+      : buckets_(std::move(buckets)) {}
+
+  /// LRB: f(r) = max_i (U_i + r_i) / R_i over every bucket.
+  double MaxFill(const ResourceVector& demand) const;
+
+  /// Quadratic fill: sum_i ((U_i + r_i) / R_i)^2, summed in id order.
+  double SquaredFill(const ResourceVector& demand) const;
+
+  /// Usage-blind demand: sum_i r_i / R_i, accumulated in id order.
+  double NormalizedDemand(const ResourceVector& demand) const;
+
+  const std::vector<BucketFill>& buckets() const { return buckets_; }
+
+ private:
+  // Calls visit(bucket, r_i) for every bucket in id order.
+  template <typename Visit>
+  void Overlay(const ResourceVector& demand, Visit visit) const;
+
+  std::vector<BucketFill> buckets_;
+};
 
 class ResourcePool {
  public:
@@ -71,71 +111,48 @@ class ResourcePool {
   /// All declared buckets in a stable order (sorted by id).
   std::vector<BucketId> Buckets() const QUASAQ_EXCLUDES(mu_);
 
-  /// Overlay fill — the LRB inner loop: max over every declared bucket
-  /// of (U_i + demand_i) / R_i. One
-  /// lock acquisition for the whole scan; calling Buckets() plus
-  /// Used()/Capacity() per bucket computes the identical value (max is
-  /// order-independent over the same per-bucket quotients) but costs
-  /// ~2N mutex round-trips per plan costed, which is what serialized
-  /// concurrent admissions before bulk reads existed.
+  /// Every bucket's usage and capacity under one lock acquisition: the
+  /// system status a planning round costs all of its plans against.
+  PoolSnapshot Snapshot() const QUASAQ_EXCLUDES(mu_);
+
+  /// The LRB fill of `demand` against the current usage.
   double OverlayMaxFill(const ResourceVector& demand) const
-      QUASAQ_EXCLUDES(mu_);
-
-  /// Overlay quadratic fill: sum over declared buckets — in sorted id
-  /// order, so the floating-point accumulation is reproducible — of
-  /// ((U_i + demand_i) / R_i)^2.
-  double OverlaySquaredFill(const ResourceVector& demand) const
-      QUASAQ_EXCLUDES(mu_);
-
-  /// Sum over `demand`'s entries (in entry order) of amount / capacity;
-  /// undeclared buckets contribute nothing.
-  double FractionalDemand(const ResourceVector& demand) const
-      QUASAQ_EXCLUDES(mu_);
-
-  /// (bucket, U_i / R_i) for every declared bucket in sorted id order,
-  /// read under one lock acquisition (telemetry's bulk Utilization).
-  std::vector<std::pair<BucketId, double>> UtilizationSnapshot() const
-      QUASAQ_EXCLUDES(mu_);
+      QUASAQ_EXCLUDES(mu_) {
+    return Snapshot().MaxFill(demand);
+  }
 
   /// The highest utilization across all declared buckets.
-  double MaxUtilization() const QUASAQ_EXCLUDES(mu_);
+  double MaxUtilization() const QUASAQ_EXCLUDES(mu_) {
+    return Snapshot().MaxFill(ResourceVector());
+  }
 
   /// Renders a one-line fill report, e.g. "site0/cpu=0.42 ...".
   std::string DebugString() const QUASAQ_EXCLUDES(mu_);
 
  private:
-  // Capacity and usage in ledger units (capacity > 0). The doubles are
-  // the same two values in the bucket's unit, re-derived from the
-  // integers on every change, so an LRB fill costs one division.
+  // Capacity and usage in ledger units (capacity > 0). `fill` holds the
+  // same two values in the bucket's unit, re-derived from the integers
+  // on every change, so a snapshot is a plain copy.
   struct BucketState {
+    BucketFill fill;
     int64_t capacity = 0;
     int64_t used = 0;
-    double capacity_value = 0.0;
-    double used_value = 0.0;
 
     void AddUsed(int64_t units) {
       used += units;
-      used_value = FromLedgerUnits(used);
-    }
-    // (U_i + extra) / R_i: a double quotient of the exact usage, with
-    // `extra` (a plan's demand) overlaid unrounded.
-    double Fill(double extra) const {
-      return (used_value + extra) / capacity_value;
+      fill.used = FromLedgerUnits(used);
     }
   };
 
-  // Lock-assuming bodies of the public entry points above. FitsLocked
-  // stops at the first misfit unless `overflowing` collects them all.
+  // Lock-assuming body of Fits. Stops at the first misfit unless
+  // `overflowing` collects them all.
   bool FitsLocked(const ResourceVector& demand,
                   std::vector<BucketId>* overflowing) const
       QUASAQ_REQUIRES(mu_);
-  std::vector<BucketId> BucketsLocked() const QUASAQ_REQUIRES(mu_);
 
   mutable Mutex mu_;
-  std::unordered_map<BucketId, BucketState> buckets_ QUASAQ_GUARDED_BY(mu_);
-  // Bucket ids in sorted order, maintained by DeclareBucket (buckets
-  // are never undeclared) so the ordered scans above never re-sort.
-  std::vector<BucketId> ordered_buckets_ QUASAQ_GUARDED_BY(mu_);
+  // Sorted by id; buckets are never undeclared.
+  std::vector<BucketState> buckets_ QUASAQ_GUARDED_BY(mu_);
 };
 
 }  // namespace quasaq::res

@@ -2,44 +2,28 @@
 
 #include <cassert>
 #include <string>
-#include <vector>
 
 namespace quasaq::res {
 
 PoolTelemetry::PoolTelemetry(const ResourcePool* pool,
                              obs::MetricsRegistry* registry)
-    : pool_(pool), registry_(registry) {
+    : pool_(pool) {
   assert(pool_ != nullptr);
-  assert(registry_ != nullptr);
-  Prime();
-}
-
-void PoolTelemetry::Prime() {
+  assert(registry != nullptr);
   for (const BucketId& bucket : pool_->Buckets()) {
-    GaugeFor(bucket);
+    gauges_.push_back(registry->GetGauge(
+        "quasaq_resource_utilization_ratio",
+        "Bucket fill U_i / R_i the LRB cost model reads",
+        {{"site", std::to_string(bucket.site.value())},
+         {"kind", std::string(ResourceKindName(bucket.kind))}}));
   }
 }
 
-obs::Gauge* PoolTelemetry::GaugeFor(const BucketId& bucket) {
-  auto it = gauges_.find(bucket);
-  if (it != gauges_.end()) return it->second;
-  obs::Gauge* gauge = registry_->GetGauge(
-      "quasaq_resource_utilization_ratio",
-      "Bucket fill U_i / R_i the LRB cost model reads",
-      {{"site", std::to_string(bucket.site.value())},
-       {"kind", std::string(ResourceKindName(bucket.kind))}});
-  gauges_.emplace(bucket, gauge);
-  return gauge;
-}
-
 void PoolTelemetry::Sample(SimTime now) {
-  // One pool-lock acquisition for the whole sweep; after Prime the
-  // gauges_ find below never mutates the map, so concurrent admissions
-  // can sample without coordinating.
-  for (const auto& [bucket, utilization] : pool_->UtilizationSnapshot()) {
-    auto it = gauges_.find(bucket);
-    obs::Gauge* gauge = it != gauges_.end() ? it->second : GaugeFor(bucket);
-    gauge->Sample(now, utilization);
+  const PoolSnapshot snapshot = pool_->Snapshot();
+  assert(snapshot.buckets().size() == gauges_.size());
+  for (size_t i = 0; i < gauges_.size(); ++i) {
+    gauges_[i]->Sample(now, snapshot.buckets()[i].Fill(0.0));
   }
 }
 

@@ -1,9 +1,8 @@
 #ifndef QUASAQ_RESOURCE_TELEMETRY_H_
 #define QUASAQ_RESOURCE_TELEMETRY_H_
 
-#include <unordered_map>
+#include <vector>
 
-#include "common/resource_vector.h"
 #include "common/sim_time.h"
 #include "obs/metrics.h"
 #include "resource/pool.h"
@@ -22,34 +21,22 @@ namespace quasaq::res {
 
 class PoolTelemetry {
  public:
-  /// Both pointers must outlive the telemetry object. Gauge series for
-  /// every bucket already declared are resolved here (see Prime), so a
-  /// telemetry object built after pool setup samples without ever
-  /// touching the registry again.
+  /// Both pointers must outlive the telemetry object, and every bucket
+  /// must be declared before it is built: the gauge series of each
+  /// bucket are resolved here, once, so Sample never touches the
+  /// registry's family maps and concurrent admissions may sample
+  /// without coordinating.
   PoolTelemetry(const ResourcePool* pool, obs::MetricsRegistry* registry);
 
-  /// Resolves the gauge series of every currently declared bucket.
-  /// Call again after declaring buckets post-construction; afterwards
-  /// Sample is read-only on the series map and therefore safe to call
-  /// from concurrent admissions.
-  void Prime();
-
-  /// Records one utilization sample per declared bucket at `now`.
+  /// Records one utilization sample per declared bucket at `now`, from
+  /// one pool snapshot.
   void Sample(SimTime now);
 
-  size_t tracked_buckets() const { return gauges_.size(); }
-
  private:
-  // Resolves (declaring on first sight) the gauge series for `bucket`.
-  obs::Gauge* GaugeFor(const BucketId& bucket);
-
   const ResourcePool* pool_;
-  obs::MetricsRegistry* registry_;
-  // Buckets are never undeclared, so resolved series pointers are
-  // cached for the pool's lifetime. After Prime has seen every bucket,
-  // Sample only reads this map (gauge updates are internally
-  // synchronized), so concurrent samplers need no extra lock.
-  std::unordered_map<BucketId, obs::Gauge*> gauges_;
+  // One series per bucket, in the pool's id order (the order of
+  // PoolSnapshot::buckets()).
+  std::vector<obs::Gauge*> gauges_;
 };
 
 }  // namespace quasaq::res

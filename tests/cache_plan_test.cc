@@ -196,8 +196,8 @@ TEST_F(CachePlanTest, EvaluatorPrefersCachedVariantWhenDiskIsHot) {
 
   std::unique_ptr<CostModel> model = MakeCostModel("lrb", 1);
   RuntimeCostEvaluator evaluator(model.get());
-  EXPECT_LT(evaluator.EfficiencyCost(cached, pool),
-            evaluator.EfficiencyCost(base, pool));
+  EXPECT_LT(evaluator.EfficiencyCost(cached, pool.Snapshot()),
+            evaluator.EfficiencyCost(base, pool.Snapshot()));
 
   std::vector<Plan> plans;
   plans.push_back(base);

@@ -472,7 +472,7 @@ TEST(ConcurrencyStressTest, TracedSatisfactionGoalAdmitRenegotiateExplain) {
         qos.range.min_frame_rate = rng.Uniform(1.0, 25.0);
         if (rng.Bernoulli(0.3)) {
           Result<std::vector<core::QualityManager::RankedPlan>> plans =
-              planner.ExplainPlans(site, content, qos, 4, context());
+              planner.ExplainPlans(site, content, qos, 4);
           EXPECT_TRUE(plans.ok()) << plans.status().ToString();
         }
         Result<core::QualityManager::Admitted> admission =

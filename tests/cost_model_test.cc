@@ -27,7 +27,7 @@ TEST(LrbCostModelTest, EmptySystemCostEqualsLargestDemandFill) {
   ResourceVector demand;
   demand.Add(Cpu(0), 0.2);
   demand.Add(Net(0), 50.0);
-  EXPECT_NEAR(lrb.Cost(demand, pool), 0.5, 1e-12);
+  EXPECT_NEAR(lrb.Cost(demand, pool.Snapshot()), 0.5, 1e-12);
 }
 
 TEST(LrbCostModelTest, IncludesCurrentUsage) {
@@ -40,11 +40,11 @@ TEST(LrbCostModelTest, IncludesCurrentUsage) {
   ResourceVector demand;
   demand.Add(Cpu(0), 0.2);
   // The hot untouched bucket (site1 cpu at 0.7) dominates.
-  EXPECT_NEAR(lrb.Cost(demand, pool), 0.7, 1e-12);
+  EXPECT_NEAR(lrb.Cost(demand, pool.Snapshot()), 0.7, 1e-12);
   // A plan stacked on the hot bucket costs more.
   ResourceVector stacked;
   stacked.Add(Cpu(1), 0.2);
-  EXPECT_NEAR(lrb.Cost(stacked, pool), 0.9, 1e-12);
+  EXPECT_NEAR(lrb.Cost(stacked, pool.Snapshot()), 0.9, 1e-12);
 }
 
 TEST(LrbCostModelTest, PrefersLoadBalancingPlacement) {
@@ -58,7 +58,8 @@ TEST(LrbCostModelTest, PrefersLoadBalancingPlacement) {
   on_hot.Add(Net(0), 30.0);
   ResourceVector on_cold;
   on_cold.Add(Net(1), 30.0);
-  EXPECT_LT(lrb.Cost(on_cold, pool), lrb.Cost(on_hot, pool));
+  const res::PoolSnapshot snapshot = pool.Snapshot();
+  EXPECT_LT(lrb.Cost(on_cold, snapshot), lrb.Cost(on_hot, snapshot));
 }
 
 TEST(LrbCostModelTest, MatchesPaperFormula) {
@@ -74,7 +75,7 @@ TEST(LrbCostModelTest, MatchesPaperFormula) {
   demand.Add(Net(0), 15.0);
   LrbCostModel lrb;
   // cpu: 0.45, net: 0.57 -> max 0.57.
-  EXPECT_NEAR(lrb.Cost(demand, pool), 0.57, 1e-12);
+  EXPECT_NEAR(lrb.Cost(demand, pool.Snapshot()), 0.57, 1e-12);
 }
 
 TEST(RandomCostModelTest, DeterministicGivenSeed) {
@@ -84,7 +85,8 @@ TEST(RandomCostModelTest, DeterministicGivenSeed) {
   RandomCostModel a(5);
   RandomCostModel b(5);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_DOUBLE_EQ(a.Cost(demand, pool), b.Cost(demand, pool));
+    EXPECT_DOUBLE_EQ(a.Cost(demand, pool.Snapshot()),
+                     b.Cost(demand, pool.Snapshot()));
   }
 }
 
@@ -95,7 +97,7 @@ TEST(RandomCostModelTest, IgnoresDemand) {
   ResourceVector heavy;
   heavy.Add(Cpu(0), 0.99);
   for (int i = 0; i < 100; ++i) {
-    double cost = model.Cost(heavy, pool);
+    double cost = model.Cost(heavy, pool.Snapshot());
     EXPECT_GE(cost, 0.0);
     EXPECT_LT(cost, 1.0);
   }
@@ -108,12 +110,12 @@ TEST(MinTotalCostModelTest, SumsNormalizedDemand) {
   ResourceVector demand;
   demand.Add(Cpu(0), 0.2);
   demand.Add(Net(0), 30.0);
-  EXPECT_NEAR(model.Cost(demand, pool), 0.5, 1e-12);
+  EXPECT_NEAR(model.Cost(demand, pool.Snapshot()), 0.5, 1e-12);
   // Current usage is ignored by design.
   ResourceVector used;
   used.Add(Cpu(0), 0.7);
   ASSERT_TRUE(pool.Acquire(used).ok());
-  EXPECT_NEAR(model.Cost(demand, pool), 0.5, 1e-12);
+  EXPECT_NEAR(model.Cost(demand, pool.Snapshot()), 0.5, 1e-12);
 }
 
 TEST(WeightedSumCostModelTest, PenalizesHotBucketsQuadratically) {
@@ -127,7 +129,8 @@ TEST(WeightedSumCostModelTest, PenalizesHotBucketsQuadratically) {
   on_hot.Add(Net(0), 30.0);
   ResourceVector on_cold;
   on_cold.Add(Net(1), 30.0);
-  EXPECT_LT(model.Cost(on_cold, pool), model.Cost(on_hot, pool));
+  const res::PoolSnapshot snapshot = pool.Snapshot();
+  EXPECT_LT(model.Cost(on_cold, snapshot), model.Cost(on_hot, snapshot));
 }
 
 TEST(CostModelFactoryTest, KnownNames) {
@@ -187,9 +190,8 @@ TEST(RuntimeCostEvaluatorTest, GainDividesCost) {
   res::ResourcePool pool;
   FillTwoSitePool(pool);
   LrbCostModel lrb;
-  RuntimeCostEvaluator evaluator(&lrb);
   // Gain = delivered quality: mark one plan as twice as valuable.
-  evaluator.set_gain_function([](const Plan& plan) {
+  RuntimeCostEvaluator evaluator(&lrb, [](const Plan& plan) {
     return plan.resources.Get(Cpu(0)) > 0.3 ? 4.0 : 1.0;
   });
   std::vector<Plan> plans;

@@ -87,7 +87,9 @@ TEST(ObjectStoreTest, ReplicasOfFiltersByContent) {
 }
 
 TEST(StorageManagerTest, CommitAndReleaseReadBandwidth) {
-  StorageManager manager(SiteId(0), StorageManager::Options{1000.0, 0.0});
+  StorageManager::Options options;
+  options.disk_bandwidth_kbps = 1000.0;
+  StorageManager manager(SiteId(0), options);
   ASSERT_TRUE(manager.store().Put(MakeReplica(1, 0, 100.0)).ok());
   ASSERT_TRUE(manager.CommitRead(PhysicalOid(1), 600.0).ok());
   EXPECT_DOUBLE_EQ(manager.committed_read_kbps(), 600.0);

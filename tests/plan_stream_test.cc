@@ -101,14 +101,15 @@ TEST_F(PlanStreamTest, YieldsEveryPlanInEagerRankingOrder) {
   std::vector<Plan> eager = EagerRanking(generator, evaluator, qos, pool_);
   ASSERT_FALSE(eager.empty());
 
-  PlanStream stream(&generator, evaluator, &pool_, SiteId(0), LogicalOid(0),
+  PlanStream stream(&generator, evaluator, pool_, SiteId(0), LogicalOid(0),
                     qos);
   ASSERT_TRUE(stream.status().ok());
   size_t i = 0;
   while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
     ASSERT_LT(i, eager.size());
     EXPECT_EQ(ranked->plan.ToString(), eager[i].ToString()) << "rank " << i;
-    EXPECT_DOUBLE_EQ(ranked->cost, evaluator.EfficiencyCost(eager[i], pool_));
+    EXPECT_DOUBLE_EQ(ranked->cost,
+                     evaluator.EfficiencyCost(eager[i], pool_.Snapshot()));
     ++i;
   }
   EXPECT_EQ(i, eager.size());
@@ -130,7 +131,7 @@ TEST_F(PlanStreamTest, OrderHoldsUnderLoadedPool) {
 
   query::QosRequirement qos = WideQos();
   std::vector<Plan> eager = EagerRanking(generator, evaluator, qos, pool_);
-  PlanStream stream(&generator, evaluator, &pool_, SiteId(0), LogicalOid(0),
+  PlanStream stream(&generator, evaluator, pool_, SiteId(0), LogicalOid(0),
                     qos);
   size_t i = 0;
   while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
@@ -155,7 +156,7 @@ TEST_F(PlanStreamTest, StatefulRandomModelStillMatchesEagerOrder) {
 
   query::QosRequirement qos = WideQos();
   std::vector<Plan> eager = EagerRanking(generator, eager_eval, qos, pool_);
-  PlanStream stream(&generator, stream_eval, &pool_, SiteId(0),
+  PlanStream stream(&generator, stream_eval, pool_, SiteId(0),
                     LogicalOid(0), qos);
   size_t i = 0;
   while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
@@ -168,15 +169,14 @@ TEST_F(PlanStreamTest, StatefulRandomModelStillMatchesEagerOrder) {
 
 TEST_F(PlanStreamTest, GainFunctionDisablesTheBoundButNotTheOrder) {
   PlanGenerator generator(&metadata_, sites_, PlanGenerator::Options());
-  RuntimeCostEvaluator evaluator(&lrb_);
   query::QosRequirement qos = WideQos();
   qos.range.min_frame_rate = 10.0;
-  evaluator.set_gain_function(
-      MakeSatisfactionGain(qos.range, UtilityWeights()));
+  RuntimeCostEvaluator evaluator(
+      &lrb_, MakeSatisfactionGain(qos.range, UtilityWeights()));
   EXPECT_FALSE(evaluator.SupportsCostLowerBound());
 
   std::vector<Plan> eager = EagerRanking(generator, evaluator, qos, pool_);
-  PlanStream stream(&generator, evaluator, &pool_, SiteId(0), LogicalOid(0),
+  PlanStream stream(&generator, evaluator, pool_, SiteId(0), LogicalOid(0),
                     qos);
   size_t i = 0;
   while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
@@ -187,10 +187,53 @@ TEST_F(PlanStreamTest, GainFunctionDisablesTheBoundButNotTheOrder) {
   EXPECT_EQ(i, eager.size());
 }
 
+// A stream costs every plan against the pool snapshot it took when it
+// was built: usage acquired afterwards leaves the yielded keys as they
+// were, and only Reset picks the new usage up.
+TEST_F(PlanStreamTest, CostsAgainstTheSnapshotTakenAtBuildAndReset) {
+  PlanGenerator generator(&metadata_, sites_, PlanGenerator::Options());
+  RuntimeCostEvaluator evaluator(&lrb_);
+  query::QosRequirement qos = WideQos();
+  const res::PoolSnapshot idle = pool_.Snapshot();
+  PlanStream stream(&generator, evaluator, pool_, SiteId(0), LogicalOid(0),
+                    qos);
+  ASSERT_TRUE(stream.status().ok());
+
+  ResourceVector used;
+  used.Add({SiteId(0), ResourceKind::kNetworkBandwidth}, 2900.0);
+  used.Add({SiteId(1), ResourceKind::kDiskBandwidth}, 10000.0);
+  ASSERT_TRUE(pool_.Acquire(used).ok());
+  const res::PoolSnapshot loaded = pool_.Snapshot();
+
+  size_t yielded = 0;
+  while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
+    EXPECT_EQ(ranked->cost, evaluator.EfficiencyCost(ranked->plan, idle));
+    EXPECT_EQ(ranked->demand,
+              RuntimeCostEvaluator::NormalizedDemand(ranked->plan, idle));
+    ++yielded;
+  }
+  ASSERT_GT(yielded, 0u);
+
+  stream.Reset(qos, evaluator, pool_);
+  std::vector<Plan> eager = EagerRanking(generator, evaluator, qos, pool_);
+  size_t i = 0;
+  bool moved = false;
+  while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
+    ASSERT_LT(i, eager.size());
+    EXPECT_EQ(ranked->plan.ToString(), eager[i].ToString()) << "rank " << i;
+    EXPECT_EQ(ranked->cost, evaluator.EfficiencyCost(ranked->plan, loaded));
+    moved = moved || ranked->cost !=
+                         evaluator.EfficiencyCost(ranked->plan, idle);
+    ++i;
+  }
+  EXPECT_EQ(i, eager.size());
+  EXPECT_TRUE(moved);
+}
+
 TEST_F(PlanStreamTest, UnknownContentFailsConstruction) {
   PlanGenerator generator(&metadata_, sites_, PlanGenerator::Options());
   RuntimeCostEvaluator evaluator(&lrb_);
-  PlanStream stream(&generator, evaluator, &pool_, SiteId(0),
+  PlanStream stream(&generator, evaluator, pool_, SiteId(0),
                     LogicalOid(99), WideQos());
   EXPECT_EQ(stream.status().code(), StatusCode::kNotFound);
   EXPECT_FALSE(stream.Next().has_value());
@@ -226,11 +269,11 @@ class StreamedVsEagerTest : public PlanStreamTest {
         oracle_generator_->Generate(SiteId(0), LogicalOid(0), qos);
     if (!plans.ok()) return {};
     oracle_generated_ += plans->size();
-    RuntimeCostEvaluator evaluator(&lrb_);
-    if (options_.goal == QualityManager::OptimizationGoal::kUserSatisfaction) {
-      evaluator.set_gain_function(
-          MakeSatisfactionGain(qos.range, options_.utility_weights));
-    }
+    RuntimeCostEvaluator evaluator(
+        &lrb_,
+        options_.goal == QualityManager::OptimizationGoal::kUserSatisfaction
+            ? MakeSatisfactionGain(qos.range, options_.utility_weights)
+            : nullptr);
     evaluator.Rank(*plans, oracle_pool_);
     return std::move(*plans);
   }
@@ -429,7 +472,7 @@ TEST_F(StreamedVsEagerTest, PausedRenegotiationMatchesOracleAndHoldsNothing) {
   qos.range.min_color_depth_bits = 24;
   qos.range.min_frame_rate = 20.0;
 
-  const auto usage_before = streamed_pool_.UtilizationSnapshot();
+  const auto usage_before = streamed_pool_.Snapshot().buckets();
   const res::CompositeQosApi::Stats api_before = streamed_api_.stats();
   Result<QualityManager::Admitted> oracle = OracleWalk(
       qos, &profile, [this](const Plan& plan) -> Result<res::ReservationId> {
@@ -449,7 +492,7 @@ TEST_F(StreamedVsEagerTest, PausedRenegotiationMatchesOracleAndHoldsNothing) {
   // adopted a relaxed plan.
   EXPECT_GT(oracle_rounds_, 1);
 
-  EXPECT_EQ(streamed_pool_.UtilizationSnapshot(), usage_before);
+  EXPECT_EQ(streamed_pool_.Snapshot().buckets(), usage_before);
   const res::CompositeQosApi::Stats api_after = streamed_api_.stats();
   EXPECT_EQ(api_after.admitted, api_before.admitted);
   EXPECT_EQ(api_after.rejected, api_before.rejected);
@@ -542,7 +585,7 @@ TEST_F(StreamedVsEagerTest, ExplainListingsAreIdentical) {
     for (Plan& plan : OracleRanking(WideQos())) {
       if (oracle.size() >= limit) break;
       QualityManager::RankedPlan entry;
-      entry.cost = lrb_.Cost(plan.resources, oracle_pool_);
+      entry.cost = lrb_.Cost(plan.resources, oracle_pool_.Snapshot());
       entry.admissible = oracle_api_.Admissible(plan.resources);
       entry.plan = std::move(plan);
       oracle.push_back(std::move(entry));

@@ -141,6 +141,38 @@ TEST(ResourcePoolTest, MaxUtilizationTracksHottestBucket) {
   EXPECT_EQ(pool.MaxUtilization(), 0.7);
 }
 
+// A snapshot is an id-ordered copy that later acquisitions do not move,
+// and its three formulas overlay a demand over every declared bucket.
+TEST(ResourcePoolTest, SnapshotFormulasOverlayDemandOnCopiedUsage) {
+  ResourcePool pool;
+  ASSERT_TRUE(pool.DeclareBucket(Net(0), 100.0).ok());
+  ASSERT_TRUE(pool.DeclareBucket(Cpu(0), 1.0).ok());
+  ASSERT_TRUE(pool.DeclareBucket(Cpu(1), 2.0).ok());
+  ResourceVector used;
+  used.Add(Cpu(1), 1.0);
+  ASSERT_TRUE(pool.Acquire(used).ok());
+  const PoolSnapshot snapshot = pool.Snapshot();
+  ASSERT_TRUE(pool.Acquire(used).ok());
+
+  ASSERT_EQ(snapshot.buckets().size(), 3u);
+  // Ids order by site, then kind.
+  EXPECT_EQ(snapshot.buckets()[0].bucket, Cpu(0));
+  EXPECT_EQ(snapshot.buckets()[1].bucket, Net(0));
+  EXPECT_EQ(snapshot.buckets()[2].bucket, Cpu(1));
+  EXPECT_EQ(snapshot.buckets()[2].used, 1.0);
+
+  ResourceVector demand;
+  demand.Add(Cpu(0), 0.25);
+  demand.Add(Net(0), 25.0);
+  demand.Add(Net(7), 50.0);  // undeclared: ignored
+  // Fills: cpu0 0.25, cpu1 0.5 (untouched), net0 0.25.
+  EXPECT_EQ(snapshot.MaxFill(demand), 0.5);
+  EXPECT_EQ(snapshot.SquaredFill(demand), 0.0625 + 0.25 + 0.0625);
+  EXPECT_EQ(snapshot.NormalizedDemand(demand), 0.25 + 0.25);
+  EXPECT_EQ(pool.OverlayMaxFill(demand), 1.0);
+  EXPECT_EQ(pool.MaxUtilization(), 1.0);
+}
+
 TEST(ResourcePoolTest, DebugStringListsBuckets) {
   ResourcePool pool;
   ASSERT_TRUE(pool.DeclareBucket(Cpu(0), 1.0).ok());

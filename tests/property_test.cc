@@ -51,7 +51,7 @@ TEST_P(LrbPropertyTest, CostBoundsAndMonotonicity) {
         demand.Add(bucket, pool.Capacity(bucket) * rng.Uniform(0.0, 0.2));
       }
     }
-    double cost = lrb.Cost(demand, pool);
+    double cost = lrb.Cost(demand, pool.Snapshot());
     // Lower bound: the fullest bucket before the plan.
     EXPECT_GE(cost, pool.MaxUtilization() - 1e-12);
     // Monotonicity: adding more demand never lowers the cost.
@@ -59,7 +59,7 @@ TEST_P(LrbPropertyTest, CostBoundsAndMonotonicity) {
     bigger.Add(buckets[static_cast<size_t>(rng.UniformInt(
                    0, static_cast<int64_t>(buckets.size()) - 1))],
                1.0);
-    EXPECT_GE(lrb.Cost(bigger, pool), cost - 1e-12);
+    EXPECT_GE(lrb.Cost(bigger, pool.Snapshot()), cost - 1e-12);
     // Feasibility: cost <= 1 implies the pool can actually take it.
     if (cost <= 1.0) {
       EXPECT_TRUE(pool.Fits(demand));

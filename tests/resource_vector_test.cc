@@ -80,10 +80,5 @@ TEST(ResourceVectorTest, ToStringListsEntries) {
   EXPECT_NE(s.find("0.25"), std::string::npos);
 }
 
-TEST(ResourceVectorTest, BucketIdHashDistinguishesKinds) {
-  std::hash<BucketId> hasher;
-  EXPECT_NE(hasher(Cpu(0)), hasher(Net(0)));
-}
-
 }  // namespace
 }  // namespace quasaq

@@ -139,13 +139,41 @@ TEST_F(SessionManagerTest, AdoptedPlanIsWhatResumeReadmits) {
   SessionId id = manager_.Start(ReservedRecord(Reserve(400.0)), 60.0);
   ASSERT_TRUE(manager_.Pause(id).ok());
   ASSERT_TRUE(
-      manager_.AdoptRenegotiatedPlan(id, SiteId(1), Kbps(1, 100.0)).ok());
+      manager_
+          .AdoptRenegotiatedPlan(id, res::kInvalidReservationId, SiteId(1),
+                                 Kbps(1, 100.0))
+          .ok());
   ASSERT_TRUE(manager_.Resume(id).ok());
   // The re-admitted reservation is the adopted 100 KB/s on site 1, not
   // the original 400 KB/s on site 0.
   EXPECT_DOUBLE_EQ(pool_.Used({SiteId(1), ResourceKind::kNetworkBandwidth}),
                    100.0);
   EXPECT_DOUBLE_EQ(pool_.Used({SiteId(0), ResourceKind::kNetworkBandwidth}),
+                   0.0);
+  simulator_.RunAll();
+  EXPECT_DOUBLE_EQ(pool_.MaxUtilization(), 0.0);
+}
+
+// A renegotiation planned while the session was paused must not be
+// adopted once a Resume has re-reserved the old vector under a new id:
+// the session would report the new plan while holding the old one.
+TEST_F(SessionManagerTest, AdoptAfterRacingResumeIsAborted) {
+  SessionId id = manager_.Start(ReservedRecord(Reserve(400.0)), 60.0);
+  ASSERT_TRUE(manager_.Pause(id).ok());
+  // The replan saw the paused session (no reservation); a Resume lands
+  // before its result is adopted.
+  ASSERT_TRUE(manager_.Resume(id).ok());
+  Status adopted = manager_.AdoptRenegotiatedPlan(
+      id, res::kInvalidReservationId, SiteId(1), Kbps(1, 100.0));
+  EXPECT_EQ(adopted.code(), StatusCode::kAborted);
+
+  std::optional<SessionManager::Record> record = manager_.Snapshot(id);
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->site, SiteId(0));
+  EXPECT_EQ(record->reserved_vector.ToString(), Kbps(0, 400.0).ToString());
+  EXPECT_DOUBLE_EQ(pool_.Used({SiteId(0), ResourceKind::kNetworkBandwidth}),
+                   400.0);
+  EXPECT_DOUBLE_EQ(pool_.Used({SiteId(1), ResourceKind::kNetworkBandwidth}),
                    0.0);
   simulator_.RunAll();
   EXPECT_DOUBLE_EQ(pool_.MaxUtilization(), 0.0);

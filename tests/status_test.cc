@@ -21,6 +21,7 @@ TEST(StatusTest, FactoryFunctionsSetCodeAndMessage) {
             StatusCode::kResourceExhausted);
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Status::Aborted("x").code(), StatusCode::kAborted);
   EXPECT_EQ(Status::Unavailable("x").code(), StatusCode::kUnavailable);
   EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
@@ -42,6 +43,7 @@ TEST(StatusTest, CodeNamesAreStable) {
   EXPECT_EQ(StatusCodeToString(StatusCode::kResourceExhausted),
             "RESOURCE_EXHAUSTED");
   EXPECT_EQ(StatusCodeToString(StatusCode::kNotFound), "NOT_FOUND");
+  EXPECT_EQ(StatusCodeToString(StatusCode::kAborted), "ABORTED");
 }
 
 TEST(ResultTest, HoldsValue) {
