@@ -102,10 +102,7 @@ BENCHMARK(BM_MetadataCachedRemoteLookup);
 
 void BM_ContentKeywordSearch(benchmark::State& state) {
   static MetadataFixture* fixture = new MetadataFixture();
-  query::ContentIndex index;
-  for (const media::VideoContent& content : fixture->library.contents) {
-    index.Add(content);
-  }
+  query::ContentIndex index(fixture->library.contents);
   query::ContentPredicate predicate;
   predicate.keywords = {"news"};
   for (auto _ : state) {
@@ -117,10 +114,7 @@ BENCHMARK(BM_ContentKeywordSearch);
 
 void BM_ContentSimilaritySearch(benchmark::State& state) {
   static MetadataFixture* fixture = new MetadataFixture();
-  query::ContentIndex index;
-  for (const media::VideoContent& content : fixture->library.contents) {
-    index.Add(content);
-  }
+  query::ContentIndex index(fixture->library.contents);
   query::ContentPredicate predicate;
   predicate.similar_to = std::vector<double>{0.5, 0.5, 0.5, 0.5,
                                              0.5, 0.5, 0.5, 0.5};

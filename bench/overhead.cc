@@ -2,16 +2,40 @@
 // to process each query (plan generation + cost evaluation + admission)
 // is a few milliseconds, and that the reservation scheduler adds ~1.6%
 // dispatch overhead. This google-benchmark binary measures our
-// per-query planning pipeline and its pieces.
+// per-query planning pipeline and its pieces, and the one-off cost of
+// bringing a system up from its catalog.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <optional>
 
 #include "core/system.h"
 #include "query/parser.h"
 #include "workload/traffic.h"
+
+// Every heap allocation this binary makes, counted by the replacement
+// global operator new below. Only BM_SystemConstruction reads it.
+std::atomic<uint64_t> g_allocations{0};
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// GCC pairs the inlined malloc/free below with new/delete expressions
+// and warns about a mismatch that the replacement makes correct.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
@@ -213,6 +237,42 @@ void BM_ParseQosQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParseQosQuery);
+
+// System bring-up from the catalog: library build, metadata load,
+// content index, resource pool, telemetry and every layer's metric
+// series (§3.3 loads the metadata offline, once). The paper testbed is
+// perfbench's paper_replay configuration; text_portal adds 2 replica
+// levels, the segment cache and dynamic replication.
+// `allocs_per_construction` counts heap allocations made by the
+// constructor alone; the destructor runs inside the timed loop too.
+void BM_SystemConstruction(benchmark::State& state, bool text_portal) {
+  core::MediaDbSystem::Options options;
+  options.kind = core::SystemKind::kVdbmsQuasaq;
+  options.topology = net::Topology::PaperTestbed();
+  options.cost_model = "lrb";
+  options.library.max_duration_seconds = 120.0;
+  if (text_portal) {
+    options.library.min_replica_levels = 2;
+    options.library.max_replica_levels = 2;
+    options.cache.enabled = true;
+    options.replication.enabled = true;
+  }
+  uint64_t allocations = 0;
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    core::MediaDbSystem system(&simulator, options);
+    allocations += g_allocations.load(std::memory_order_relaxed) - before;
+    core::MediaDbSystem* built = &system;
+    benchmark::DoNotOptimize(built);
+  }
+  state.counters["allocs_per_construction"] = benchmark::Counter(
+      static_cast<double>(allocations), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK_CAPTURE(BM_SystemConstruction, paper_testbed, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SystemConstruction, text_portal, true)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -8,11 +8,6 @@
 
 namespace quasaq::cache {
 
-std::string SegmentKeyToString(const SegmentKey& key) {
-  return "oid" + std::to_string(key.replica.value()) + "#" +
-         std::to_string(key.index);
-}
-
 SegmentLayout SegmentLayout::For(const media::ReplicaInfo& replica,
                                  const Options& options) {
   assert(replica.bitrate_kbps > 0.0);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "common/ids.h"
 #include "media/video.h"
@@ -27,9 +26,6 @@ struct SegmentKey {
   }
   friend auto operator<=>(const SegmentKey& a, const SegmentKey& b) = default;
 };
-
-/// Renders e.g. "oid7#3".
-std::string SegmentKeyToString(const SegmentKey& key);
 
 // The deterministic segment geometry of one replica. Pure function of the
 // replica record and the layout options, so every component (cache,

@@ -25,7 +25,7 @@ SegmentCache::SegmentCache(const Options& options,
 
 SegmentCache::Metrics SegmentCache::ResolveMetrics(
     obs::MetricsRegistry& registry, std::string_view site_label) {
-  const obs::Labels labels = {{"site", std::string(site_label)}};
+  const std::initializer_list<obs::Label> labels = {{"site", site_label}};
   return Metrics{
       registry.GetCounter("quasaq_cache_hits_total",
                           "Segment reads served from memory", labels),

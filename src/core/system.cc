@@ -26,6 +26,7 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
           obs::Tracer::Options{.enabled = options.observability.tracing}),
       library_(media::BuildExperimentLibrary(options.library,
                                              options.topology.SiteIds())),
+      content_index_(library_.contents),
       qos_api_(&pool_, observability_.metrics()),
       session_manager_(simulator, &qos_api_, observability_,
                        [this](SessionId id, SimTime now) {
@@ -58,24 +59,14 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
   pool_telemetry_ = std::make_unique<res::PoolTelemetry>(
       &pool_, &observability_.metrics());
 
-  // Metadata: contents, replicas and sampled QoS profiles.
+  // Metadata: contents, replicas and sampled QoS profiles, loaded in one
+  // pass before anything can read them.
   metadata_ = std::make_unique<meta::DistributedMetadataEngine>(
       sites, meta::DistributedMetadataEngine::Options());
   meta::QosSampler sampler(options_.sampler, options_.seed);
-  for (const media::VideoContent& content : library_.contents) {
-    Status status = metadata_->InsertContent(content);
-    assert(status.ok());
-    (void)status;
-    content_index_.Add(content);
-  }
-  for (const media::ReplicaInfo& replica : library_.replicas) {
-    Status status = metadata_->InsertReplica(replica);
-    assert(status.ok());
-    status = metadata_->SetQosProfile(replica.id,
-                                      sampler.SampleStreaming(replica));
-    assert(status.ok());
-    (void)status;
-  }
+  Status loaded = metadata_->Load(library_, sampler);
+  assert(loaded.ok());
+  (void)loaded;
 
   if (options_.kind == SystemKind::kVdbmsQuasaq) {
     cost_model_ = MakeCostModel(options_.cost_model, options_.seed);

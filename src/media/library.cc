@@ -87,6 +87,10 @@ VideoLibrary BuildExperimentLibrary(const LibraryOptions& options,
          static_cast<int>(ladder.levels.size()));
 
   VideoLibrary library;
+  library.contents.reserve(static_cast<size_t>(options.num_videos));
+  library.replicas.reserve(static_cast<size_t>(options.num_videos) *
+                           static_cast<size_t>(options.max_replica_levels) *
+                           sites.size());
   int64_t next_physical = 0;
   for (int v = 0; v < options.num_videos; ++v) {
     VideoContent content;
@@ -95,6 +99,7 @@ VideoLibrary BuildExperimentLibrary(const LibraryOptions& options,
     std::snprintf(title, sizeof(title), "video%02d", v);
     content.title = title;
     // 2-3 keywords; the primary topic rotates so every topic is covered.
+    content.keywords.reserve(3);
     content.keywords.push_back(kTopics[v % kNumTopics]);
     size_t extra = static_cast<size_t>(rng.UniformInt(1, 2));
     for (size_t k = 0; k < extra; ++k) {
@@ -102,6 +107,7 @@ VideoLibrary BuildExperimentLibrary(const LibraryOptions& options,
           kTopics[static_cast<size_t>(rng.UniformInt(0, kNumTopics - 1))];
       if (topic != content.keywords.front()) content.keywords.push_back(topic);
     }
+    content.features.reserve(kFeatureDim);
     for (int d = 0; d < kFeatureDim; ++d) {
       content.features.push_back(rng.NextDouble());
     }

@@ -1,6 +1,8 @@
 #include "metadata/distributed_engine.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 
 namespace quasaq::meta {
 
@@ -23,12 +25,69 @@ size_t DistributedMetadataEngine::SiteIndex(SiteId site) const {
   return 0;
 }
 
+size_t DistributedMetadataEngine::OwnerIndex(LogicalOid id) const {
+  return static_cast<size_t>(id.value()) % sites_.size();
+}
+
 SiteId DistributedMetadataEngine::OwnerOf(LogicalOid id) const {
-  return sites_[static_cast<size_t>(id.value()) % sites_.size()];
+  return sites_[OwnerIndex(id)];
 }
 
 MetadataStore& DistributedMetadataEngine::OwnerStore(LogicalOid id) {
-  return stores_[SiteIndex(OwnerOf(id))];
+  return stores_[OwnerIndex(id)];
+}
+
+namespace {
+
+bool DirectoryBefore(const std::pair<PhysicalOid, LogicalOid>& entry,
+                     PhysicalOid id) {
+  return entry.first < id;
+}
+
+}  // namespace
+
+size_t DistributedMetadataEngine::DirectoryPos(PhysicalOid id) const {
+  auto it = std::lower_bound(directory_.begin(), directory_.end(), id,
+                             DirectoryBefore);
+  return it != directory_.end() && it->first == id
+             ? static_cast<size_t>(it - directory_.begin())
+             : directory_.size();
+}
+
+bool DistributedMetadataEngine::CachesEmpty() const {
+  for (const std::unique_ptr<SiteState>& state : site_states_) {
+    MutexLock lock(&state->mu);
+    if (!state->cache.entries.empty()) return false;
+  }
+  return true;
+}
+
+Status DistributedMetadataEngine::Load(const media::VideoLibrary& catalog,
+                                       QosSampler& sampler) {
+  // No cache holds a bundle the load could make stale, and no reader can
+  // start one while it runs.
+  assert(CachesEmpty());
+  std::vector<std::pair<size_t, size_t>> rows(stores_.size());
+  for (const media::VideoContent& content : catalog.contents) {
+    ++rows[OwnerIndex(content.id)].first;
+  }
+  for (const media::ReplicaInfo& replica : catalog.replicas) {
+    ++rows[OwnerIndex(replica.content)].second;
+  }
+  for (size_t i = 0; i < stores_.size(); ++i) {
+    stores_[i].Reserve(rows[i].first, rows[i].second);
+  }
+  directory_.reserve(directory_.size() + catalog.replicas.size());
+
+  for (const media::VideoContent& content : catalog.contents) {
+    Status status = OwnerStore(content.id).InsertContent(content);
+    if (!status.ok()) return status;
+  }
+  for (const media::ReplicaInfo& replica : catalog.replicas) {
+    Status status = AppendReplica(replica, sampler.SampleStreaming(replica));
+    if (!status.ok()) return status;
+  }
+  return Status::Ok();
 }
 
 Status DistributedMetadataEngine::InsertContent(
@@ -38,36 +97,48 @@ Status DistributedMetadataEngine::InsertContent(
   return status;
 }
 
+Status DistributedMetadataEngine::AppendReplica(
+    const media::ReplicaInfo& replica,
+    const std::optional<QosProfile>& profile) {
+  auto at = std::lower_bound(directory_.begin(), directory_.end(), replica.id,
+                             DirectoryBefore);
+  if (at != directory_.end() && at->first == replica.id) {
+    return Status::AlreadyExists("physical OID already present");
+  }
+  Status status = OwnerStore(replica.content).InsertReplica(replica, profile);
+  if (!status.ok()) return status;
+  directory_.insert(at, {replica.id, replica.content});
+  return Status::Ok();
+}
+
 Status DistributedMetadataEngine::InsertReplica(
     const media::ReplicaInfo& replica) {
-  Status status = OwnerStore(replica.content).InsertReplica(replica);
-  if (status.ok()) {
-    physical_to_logical_[replica.id] = replica.content;
-    InvalidateCaches(replica.content);
-  }
+  Status status = AppendReplica(replica, std::nullopt);
+  if (status.ok()) InvalidateCaches(replica.content);
   return status;
 }
 
 Status DistributedMetadataEngine::SetQosProfile(PhysicalOid id,
                                                 const QosProfile& profile) {
-  auto it = physical_to_logical_.find(id);
-  if (it == physical_to_logical_.end()) {
+  size_t pos = DirectoryPos(id);
+  if (pos == directory_.size()) {
     return Status::NotFound("unknown physical OID");
   }
-  Status status = OwnerStore(it->second).SetQosProfile(id, profile);
-  if (status.ok()) InvalidateCaches(it->second);
+  LogicalOid content = directory_[pos].second;
+  Status status = OwnerStore(content).SetQosProfile(id, profile);
+  if (status.ok()) InvalidateCaches(content);
   return status;
 }
 
 Status DistributedMetadataEngine::EraseReplica(PhysicalOid id) {
-  auto it = physical_to_logical_.find(id);
-  if (it == physical_to_logical_.end()) {
+  size_t pos = DirectoryPos(id);
+  if (pos == directory_.size()) {
     return Status::NotFound("unknown physical OID");
   }
-  LogicalOid content = it->second;
+  LogicalOid content = directory_[pos].second;
   Status status = OwnerStore(content).EraseReplica(id);
   if (status.ok()) {
-    physical_to_logical_.erase(it);
+    directory_.erase(directory_.begin() + static_cast<ptrdiff_t>(pos));
     InvalidateCaches(content);
   }
   return status;
@@ -75,15 +146,16 @@ Status DistributedMetadataEngine::EraseReplica(PhysicalOid id) {
 
 Status DistributedMetadataEngine::EraseContent(LogicalOid id) {
   MetadataStore& store = OwnerStore(id);
-  // Collect the replicas first so the physical index can be pruned.
+  // Collect the replicas first so the directory can be pruned.
   std::vector<PhysicalOid> replicas;
-  for (const media::ReplicaInfo* replica : store.ReplicasOf(id)) {
-    replicas.push_back(replica->id);
+  for (const MetadataStore::ReplicaRow& row : store.ReplicasOf(id)) {
+    replicas.push_back(row.info.id);
   }
   Status status = store.EraseContent(id);
   if (!status.ok()) return status;
   for (PhysicalOid replica : replicas) {
-    physical_to_logical_.erase(replica);
+    directory_.erase(directory_.begin() +
+                     static_cast<ptrdiff_t>(DirectoryPos(replica)));
   }
   InvalidateCaches(id);
   return Status::Ok();
@@ -95,10 +167,10 @@ MetadataBundle DistributedMetadataEngine::BuildBundle(
   const media::VideoContent* content = store.FindContent(id);
   assert(content != nullptr);
   bundle.content = *content;
-  for (const media::ReplicaInfo* replica : store.ReplicasOf(id)) {
-    bundle.replicas.push_back(*replica);
-    if (const QosProfile* profile = store.FindQosProfile(replica->id)) {
-      bundle.profiles.emplace_back(replica->id, *profile);
+  for (const MetadataStore::ReplicaRow& row : store.ReplicasOf(id)) {
+    bundle.replicas.push_back(row.info);
+    if (row.profile.has_value()) {
+      bundle.profiles.emplace_back(row.info.id, *row.profile);
     }
   }
   return bundle;
@@ -182,11 +254,12 @@ std::vector<media::ReplicaInfo> DistributedMetadataEngine::ReplicasOf(
 
 std::optional<QosProfile> DistributedMetadataEngine::FindQosProfile(
     SiteId from, PhysicalOid id, SimTime* latency) {
-  auto it = physical_to_logical_.find(id);
-  if (it == physical_to_logical_.end()) return std::nullopt;
+  size_t pos = DirectoryPos(id);
+  if (pos == directory_.size()) return std::nullopt;
   SiteState& state = *site_states_[SiteIndex(from)];
   MutexLock lock(&state.mu);
-  const MetadataBundle* bundle = FetchBundle(state, from, it->second, latency);
+  const MetadataBundle* bundle =
+      FetchBundle(state, from, directory_[pos].second, latency);
   if (bundle == nullptr) return std::nullopt;
   for (const auto& [oid, profile] : bundle->profiles) {
     if (oid == id) return profile;

@@ -5,13 +5,16 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "common/sync.h"
+#include "media/library.h"
 #include "metadata/metadata_store.h"
+#include "metadata/qos_profile.h"
 
 // Distributed Metadata Engine (paper §3.3): metadata is partitioned
 // across sites by logical OID ("distributed in various locations
@@ -20,12 +23,21 @@
 // report a simulated latency so callers can charge metadata I/O to the
 // plan-generation path.
 //
+// Population: Load brings the offline catalog in (§3.3: contents,
+// replicas and their sampled QoS profiles) in one pass, with every
+// table sized up front. It skips cache invalidation, so it is only
+// valid while no reader exists and every site's cache is empty (it
+// asserts the latter). The per-row Insert*/Erase*/SetQosProfile are the
+// runtime path (dynamic replication, catalog snapshots): they append
+// through the same row code as Load and then invalidate the cached
+// bundle of the object at every site.
+//
 // Thread-safety: the read path (FindContent/ReplicasOf/FindQosProfile)
 // mutates the accessing site's LRU cache and counters, so each site's
 // cache + stats sit behind their own leaf Mutex — concurrent admissions
 // from different sites never contend, same-site accesses serialize.
-// Population and erasure (Insert*/Erase*/SetQosProfile) write the
-// unguarded stores and physical index; they are construction-time /
+// Population and erasure (Load/Insert*/Erase*/SetQosProfile) write the
+// unguarded stores and physical directory; they are construction-time /
 // simulator-driven operations and must not overlap with concurrent
 // reads (docs/ARCHITECTURE.md "Threading model").
 
@@ -57,6 +69,12 @@ class DistributedMetadataEngine {
                             const Options& options);
 
   // --- Population (routed to the owning site's store) ----------------
+
+  /// Loads `catalog` in one pass: every content, then every replica
+  /// with the profile `sampler` draws for it, in catalog order. Only
+  /// valid before the first read (see the class comment). Stops at the
+  /// first row the per-row Insert* would reject, with its status.
+  Status Load(const media::VideoLibrary& catalog, QosSampler& sampler);
 
   Status InsertContent(const media::VideoContent& content);
   Status InsertReplica(const media::ReplicaInfo& replica);
@@ -111,7 +129,17 @@ class DistributedMetadataEngine {
   };
 
   size_t SiteIndex(SiteId site) const;
+  // Index (into sites_ and stores_) of the site owning `id`.
+  size_t OwnerIndex(LogicalOid id) const;
   MetadataStore& OwnerStore(LogicalOid id);
+  // Directory position of physical OID `id`, or directory_.size().
+  size_t DirectoryPos(PhysicalOid id) const;
+  // The row code Load and InsertReplica share: registers `replica` (and
+  // its profile) at its owner and in the directory, without touching
+  // any cache.
+  Status AppendReplica(const media::ReplicaInfo& replica,
+                       const std::optional<QosProfile>& profile);
+  bool CachesEmpty() const;
   // Fetches the bundle as seen from `from` (whose state is `state`),
   // tracking stats and latency. The returned pointer aims into the
   // site's cache and is only valid while the lock is held.
@@ -125,7 +153,9 @@ class DistributedMetadataEngine {
   Options options_;
   std::vector<MetadataStore> stores_;  // one per site
   std::vector<std::unique_ptr<SiteState>> site_states_;  // one per site
-  std::unordered_map<PhysicalOid, LogicalOid> physical_to_logical_;
+  // Physical OID -> logical OID of every registered replica, sorted by
+  // physical OID: finds the owner of a replica-level request.
+  std::vector<std::pair<PhysicalOid, LogicalOid>> directory_;
 };
 
 }  // namespace quasaq::meta

@@ -1,98 +1,153 @@
 #include "metadata/metadata_store.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <limits>
 
 namespace quasaq::meta {
+
+namespace {
+
+bool ContentBefore(const media::VideoContent& content, LogicalOid id) {
+  return content.id < id;
+}
+
+// Orders replica rows by (logical OID, physical OID).
+bool RowBefore(const MetadataStore::ReplicaRow& row,
+               const std::pair<LogicalOid, PhysicalOid>& key) {
+  return std::pair(row.info.content, row.info.id) < key;
+}
+
+bool IndexBefore(const std::pair<PhysicalOid, LogicalOid>& entry,
+                 PhysicalOid id) {
+  return entry.first < id;
+}
+
+}  // namespace
+
+void MetadataStore::Reserve(size_t contents, size_t replicas) {
+  contents_.reserve(contents_.size() + contents);
+  replicas_.reserve(replicas_.size() + replicas);
+  replica_index_.reserve(replica_index_.size() + replicas);
+}
+
+std::vector<media::VideoContent>::const_iterator MetadataStore::ContentAt(
+    LogicalOid id) const {
+  auto it =
+      std::lower_bound(contents_.begin(), contents_.end(), id, ContentBefore);
+  return it != contents_.end() && it->id == id ? it : contents_.end();
+}
+
+size_t MetadataStore::ReplicaPos(PhysicalOid id) const {
+  auto entry = std::lower_bound(replica_index_.begin(), replica_index_.end(),
+                                id, IndexBefore);
+  if (entry == replica_index_.end() || entry->first != id) {
+    return replicas_.size();
+  }
+  return static_cast<size_t>(
+      std::lower_bound(replicas_.begin(), replicas_.end(),
+                       std::pair(entry->second, id), RowBefore) -
+      replicas_.begin());
+}
 
 Status MetadataStore::InsertContent(const media::VideoContent& content) {
   if (!content.id.valid()) {
     return Status::InvalidArgument("invalid logical OID");
   }
-  auto [it, inserted] = contents_.emplace(content.id, content);
-  if (!inserted) return Status::AlreadyExists("logical OID already present");
+  auto it = std::lower_bound(contents_.begin(), contents_.end(), content.id,
+                             ContentBefore);
+  if (it != contents_.end() && it->id == content.id) {
+    return Status::AlreadyExists("logical OID already present");
+  }
+  contents_.insert(it, content);
   return Status::Ok();
 }
 
-Status MetadataStore::InsertReplica(const media::ReplicaInfo& replica) {
+Status MetadataStore::InsertReplica(const media::ReplicaInfo& replica,
+                                    const std::optional<QosProfile>& profile) {
   if (!replica.id.valid()) {
     return Status::InvalidArgument("invalid physical OID");
   }
-  if (contents_.count(replica.content) == 0) {
+  if (ContentAt(replica.content) == contents_.end()) {
     return Status::FailedPrecondition("logical object not registered");
   }
-  auto [it, inserted] = replicas_.emplace(replica.id, replica);
-  if (!inserted) return Status::AlreadyExists("physical OID already present");
-  replica_index_[replica.content].push_back(replica.id);
+  auto entry = std::lower_bound(replica_index_.begin(), replica_index_.end(),
+                                replica.id, IndexBefore);
+  if (entry != replica_index_.end() && entry->first == replica.id) {
+    return Status::AlreadyExists("physical OID already present");
+  }
+  replica_index_.insert(entry, {replica.id, replica.content});
+  auto row = std::lower_bound(replicas_.begin(), replicas_.end(),
+                              std::pair(replica.content, replica.id),
+                              RowBefore);
+  replicas_.insert(row, ReplicaRow{replica, profile});
   return Status::Ok();
 }
 
 Status MetadataStore::SetQosProfile(PhysicalOid id, const QosProfile& profile) {
-  if (replicas_.count(id) == 0) {
-    return Status::NotFound("no such replica");
-  }
-  profiles_[id] = profile;
+  size_t pos = ReplicaPos(id);
+  if (pos == replicas_.size()) return Status::NotFound("no such replica");
+  replicas_[pos].profile = profile;
   return Status::Ok();
 }
 
 Status MetadataStore::EraseReplica(PhysicalOid id) {
-  auto it = replicas_.find(id);
-  if (it == replicas_.end()) return Status::NotFound("no such replica");
-  auto& index = replica_index_[it->second.content];
-  index.erase(std::remove(index.begin(), index.end(), id), index.end());
-  profiles_.erase(id);
-  replicas_.erase(it);
+  size_t pos = ReplicaPos(id);
+  if (pos == replicas_.size()) return Status::NotFound("no such replica");
+  replicas_.erase(replicas_.begin() + static_cast<ptrdiff_t>(pos));
+  replica_index_.erase(std::lower_bound(
+      replica_index_.begin(), replica_index_.end(), id, IndexBefore));
   return Status::Ok();
 }
 
 Status MetadataStore::EraseContent(LogicalOid id) {
-  auto it = contents_.find(id);
-  if (it == contents_.end()) return Status::NotFound("no such content");
-  auto index_it = replica_index_.find(id);
-  if (index_it != replica_index_.end()) {
-    for (PhysicalOid replica : index_it->second) {
-      profiles_.erase(replica);
-      replicas_.erase(replica);
-    }
-    replica_index_.erase(index_it);
+  auto content = ContentAt(id);
+  if (content == contents_.end()) return Status::NotFound("no such content");
+  std::span<const ReplicaRow> rows = ReplicasOf(id);
+  for (const ReplicaRow& row : rows) {
+    replica_index_.erase(std::lower_bound(replica_index_.begin(),
+                                          replica_index_.end(), row.info.id,
+                                          IndexBefore));
   }
-  contents_.erase(it);
+  auto first = replicas_.begin() + (rows.data() - replicas_.data());
+  replicas_.erase(first, first + static_cast<ptrdiff_t>(rows.size()));
+  contents_.erase(content);
   return Status::Ok();
 }
 
 const media::VideoContent* MetadataStore::FindContent(LogicalOid id) const {
-  auto it = contents_.find(id);
-  return it == contents_.end() ? nullptr : &it->second;
+  auto it = ContentAt(id);
+  return it == contents_.end() ? nullptr : &*it;
 }
 
 const media::ReplicaInfo* MetadataStore::FindReplica(PhysicalOid id) const {
-  auto it = replicas_.find(id);
-  return it == replicas_.end() ? nullptr : &it->second;
+  size_t pos = ReplicaPos(id);
+  return pos == replicas_.size() ? nullptr : &replicas_[pos].info;
 }
 
 const QosProfile* MetadataStore::FindQosProfile(PhysicalOid id) const {
-  auto it = profiles_.find(id);
-  return it == profiles_.end() ? nullptr : &it->second;
+  size_t pos = ReplicaPos(id);
+  if (pos == replicas_.size() || !replicas_[pos].profile.has_value()) {
+    return nullptr;
+  }
+  return &*replicas_[pos].profile;
 }
 
-std::vector<const media::ReplicaInfo*> MetadataStore::ReplicasOf(
+std::span<const MetadataStore::ReplicaRow> MetadataStore::ReplicasOf(
     LogicalOid content) const {
-  std::vector<const media::ReplicaInfo*> out;
-  auto it = replica_index_.find(content);
-  if (it == replica_index_.end()) return out;
-  std::vector<PhysicalOid> ids = it->second;
-  std::sort(ids.begin(), ids.end());
-  for (PhysicalOid id : ids) out.push_back(&replicas_.at(id));
-  return out;
+  auto first = std::lower_bound(
+      replicas_.begin(), replicas_.end(),
+      std::pair(content, PhysicalOid(std::numeric_limits<int64_t>::min())),
+      RowBefore);
+  auto last = first;
+  while (last != replicas_.end() && last->info.content == content) ++last;
+  return {first, last};
 }
 
 std::vector<const media::VideoContent*> MetadataStore::AllContents() const {
   std::vector<const media::VideoContent*> out;
   out.reserve(contents_.size());
-  for (const auto& [id, content] : contents_) out.push_back(&content);
-  std::sort(out.begin(), out.end(),
-            [](const media::VideoContent* a, const media::VideoContent* b) {
-              return a->id < b->id;
-            });
+  for (const media::VideoContent& content : contents_) out.push_back(&content);
   return out;
 }
 

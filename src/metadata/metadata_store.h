@@ -1,7 +1,9 @@
 #ifndef QUASAQ_METADATA_METADATA_STORE_H_
 #define QUASAQ_METADATA_METADATA_STORE_H_
 
-#include <unordered_map>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -13,17 +15,35 @@
 // §3.3: content metadata (VideoContent), quality metadata (the AppQos
 // inside each ReplicaInfo), distribution metadata (logical->physical
 // mapping with sites), and QoS profiles.
+//
+// The tables are id-sorted vectors: a catalog loaded in OID order is
+// appended row by row into tables sized once (Reserve), with no
+// per-row allocation. Pointers returned by the Find*/ReplicasOf/
+// AllContents accessors stay valid until the next mutation.
 
 namespace quasaq::meta {
 
 class MetadataStore {
  public:
+  // One replica's distribution and quality metadata, with its sampled
+  // delivery profile once one is recorded.
+  struct ReplicaRow {
+    media::ReplicaInfo info;
+    std::optional<QosProfile> profile;
+  };
+
+  /// Sizes the tables for `contents` more logical objects and
+  /// `replicas` more replicas.
+  void Reserve(size_t contents, size_t replicas);
+
   /// Registers a logical object. Fails on duplicate logical OID.
   Status InsertContent(const media::VideoContent& content);
 
-  /// Registers one replica (distribution + quality metadata). The
-  /// logical object must already be registered.
-  Status InsertReplica(const media::ReplicaInfo& replica);
+  /// Registers one replica (distribution + quality metadata), and its
+  /// delivery profile when `profile` holds one. The logical object must
+  /// already be registered.
+  Status InsertReplica(const media::ReplicaInfo& replica,
+                       const std::optional<QosProfile>& profile = {});
 
   /// Records the sampled delivery profile of a replica.
   Status SetQosProfile(PhysicalOid id, const QosProfile& profile);
@@ -38,8 +58,8 @@ class MetadataStore {
   const media::ReplicaInfo* FindReplica(PhysicalOid id) const;
   const QosProfile* FindQosProfile(PhysicalOid id) const;
 
-  /// Returns all replicas of `content`, in physical-OID order.
-  std::vector<const media::ReplicaInfo*> ReplicasOf(LogicalOid content) const;
+  /// Returns the replica rows of `content`, in physical-OID order.
+  std::span<const ReplicaRow> ReplicasOf(LogicalOid content) const;
 
   /// Returns all registered logical objects, in logical-OID order.
   std::vector<const media::VideoContent*> AllContents() const;
@@ -48,10 +68,18 @@ class MetadataStore {
   size_t replica_count() const { return replicas_.size(); }
 
  private:
-  std::unordered_map<LogicalOid, media::VideoContent> contents_;
-  std::unordered_map<PhysicalOid, media::ReplicaInfo> replicas_;
-  std::unordered_map<LogicalOid, std::vector<PhysicalOid>> replica_index_;
-  std::unordered_map<PhysicalOid, QosProfile> profiles_;
+  std::vector<media::VideoContent>::const_iterator ContentAt(
+      LogicalOid id) const;
+  // Position of replica `id` in replicas_, or replicas_.size().
+  size_t ReplicaPos(PhysicalOid id) const;
+
+  // Sorted by logical OID.
+  std::vector<media::VideoContent> contents_;
+  // Sorted by (logical OID, physical OID): each object's replicas are
+  // one contiguous run.
+  std::vector<ReplicaRow> replicas_;
+  // Physical OID -> logical OID, sorted by physical OID.
+  std::vector<std::pair<PhysicalOid, LogicalOid>> replica_index_;
 };
 
 }  // namespace quasaq::meta

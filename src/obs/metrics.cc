@@ -1,13 +1,19 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
+#include <type_traits>
 
 namespace quasaq::obs {
 
 namespace {
+
+// A series' labels as the exposition renders them.
+using Labels = std::vector<std::pair<std::string, std::string>>;
 
 // Renders a double the way the Prometheus text format expects.
 std::string RenderNumber(double value) {
@@ -18,11 +24,14 @@ std::string RenderNumber(double value) {
   return buf;
 }
 
-// Canonical child key: labels sorted by key, serialized "k=v,k=v".
-std::string CanonicalKey(Labels labels) {
-  std::sort(labels.begin(), labels.end());
-  std::string key;
-  for (const auto& [k, v] : labels) {
+// Canonical child key: `sorted` serialized "k=v,k=v", built in `arena`.
+std::pmr::string CanonicalKey(std::span<const Label> sorted,
+                              std::pmr::memory_resource* arena) {
+  size_t size = sorted.empty() ? 0 : sorted.size() - 1;
+  for (const auto& [k, v] : sorted) size += k.size() + 1 + v.size();
+  std::pmr::string key(arena);
+  key.reserve(size);
+  for (const auto& [k, v] : sorted) {
     if (!key.empty()) key += ',';
     key += k;
     key += '=';
@@ -35,7 +44,7 @@ std::string CanonicalKey(Labels labels) {
 // `labels` (already sorted) *would* produce, character by character —
 // the allocation-free half of the transparent child lookup. Returns
 // <0 / 0 / >0 as `key` orders before / equal to / after the labels.
-int CompareKeyToLabels(std::string_view key, const Labels& labels) {
+int CompareKeyToLabels(std::string_view key, std::span<const Label> labels) {
   size_t pos = 0;
   auto compare_piece = [&](std::string_view piece) -> int {
     for (char c : piece) {
@@ -147,14 +156,14 @@ std::string_view MetricTypeName(MetricType type) {
   return "unknown";
 }
 
-bool MetricsRegistry::ChildKeyLess::operator()(const std::string& a,
-                                               const SortedLabelsRef& b) const {
-  return CompareKeyToLabels(a, *b.labels) < 0;
+bool MetricsRegistry::ChildKeyLess::operator()(
+    const std::pmr::string& a, std::span<const Label> b) const {
+  return CompareKeyToLabels(a, b) < 0;
 }
 
-bool MetricsRegistry::ChildKeyLess::operator()(const SortedLabelsRef& a,
-                                               const std::string& b) const {
-  return CompareKeyToLabels(b, *a.labels) > 0;
+bool MetricsRegistry::ChildKeyLess::operator()(
+    std::span<const Label> a, const std::pmr::string& b) const {
+  return CompareKeyToLabels(b, a) > 0;
 }
 
 void Gauge::Sample(SimTime now, double value) {
@@ -213,6 +222,19 @@ void Histogram::Observe(double value) {
   stats_.Add(value);
 }
 
+bool Histogram::HasLayout(const HistogramOptions& options) const {
+  // The constructor's bound recurrence, compared bound by bound.
+  if (bounds_.size() != static_cast<size_t>(options.bucket_count)) {
+    return false;
+  }
+  double bound = options.first_bound;
+  for (double existing : bounds_) {
+    if (existing != bound) return false;
+    bound *= options.growth;
+  }
+  return true;
+}
+
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot snap;
   snap.bounds = bounds_;
@@ -225,104 +247,107 @@ Histogram::Snapshot Histogram::snapshot() const {
   return snap;
 }
 
+template <typename Metric>
+template <typename... Args>
+MetricsRegistry::Series<Metric>::Series(std::span<const Label> registered,
+                                        std::pmr::memory_resource* arena,
+                                        Args&&... args)
+    : metric(std::forward<Args>(args)...), labels(arena) {
+  labels.reserve(registered.size());
+  for (const auto& [k, v] : registered) labels.emplace_back(k, v);
+}
+
+MetricsRegistry::Family::Family(MetricType type, std::string_view help,
+                                std::pmr::memory_resource* arena)
+    : type(type),
+      help(help, arena),
+      counters(arena),
+      gauges(arena),
+      histograms(arena) {}
+
+template <typename Metric>
+MetricsRegistry::SeriesMap<Metric>& MetricsRegistry::Family::children() {
+  if constexpr (std::is_same_v<Metric, Counter>) {
+    return counters;
+  } else if constexpr (std::is_same_v<Metric, Gauge>) {
+    return gauges;
+  } else {
+    return histograms;
+  }
+}
+
 MetricsRegistry::Family* MetricsRegistry::ResolveFamily(std::string_view name,
                                                         std::string_view help,
                                                         MetricType type) {
   auto it = families_.find(name);
   if (it == families_.end()) {
-    Family family;
-    family.type = type;
-    family.help = std::string(help);
-    it = families_.emplace(std::string(name), std::move(family)).first;
+    it = families_
+             .try_emplace(std::pmr::string(name, &arena_), type, help, &arena_)
+             .first;
   } else if (it->second.type != type) {
     return nullptr;  // one name, one meaning
   }
   return &it->second;
 }
 
-namespace {
-
-// The sorted view of `labels`: `labels` itself when already sorted (the
-// common case — instrumented call sites pass at most a couple of pairs
-// in order), else a sorted copy placed in `storage`.
-const Labels& SortedLabelView(const Labels& labels, Labels& storage) {
-  if (std::is_sorted(labels.begin(), labels.end())) return labels;
-  storage = labels;
-  std::sort(storage.begin(), storage.end());
-  return storage;
+template <typename Metric, typename... Args>
+Metric* MetricsRegistry::ResolveSeries(Family& family,
+                                       std::span<const Label> labels,
+                                       Args&&... args) {
+  // The sorted probe lives on the stack for any label count
+  // instrumentation uses; only a longer set spills to the heap.
+  std::array<std::byte, 8 * sizeof(Label)> buffer;
+  std::pmr::monotonic_buffer_resource scratch(buffer.data(), buffer.size());
+  std::pmr::vector<Label> sorted(labels.begin(), labels.end(), &scratch);
+  std::sort(sorted.begin(), sorted.end());
+  SeriesMap<Metric>& children = family.children<Metric>();
+  auto it = children.find(std::span<const Label>(sorted));
+  if (it == children.end()) {
+    // Only first registration serializes the canonical key.
+    it = children
+             .try_emplace(CanonicalKey(sorted, &arena_), labels, &arena_,
+                          std::forward<Args>(args)...)
+             .first;
+  }
+  return &it->second.metric;
 }
-
-}  // namespace
 
 Counter* MetricsRegistry::GetCounter(std::string_view name,
                                      std::string_view help,
-                                     const Labels& labels) {
+                                     std::initializer_list<Label> labels) {
   MutexLock lock(&mu_);
   Family* family = ResolveFamily(name, help, MetricType::kCounter);
   if (family == nullptr) return nullptr;
-  Labels sorted_storage;
-  const Labels& sorted = SortedLabelView(labels, sorted_storage);
-  auto it = family->counters.find(SortedLabelsRef{&sorted});
-  if (it == family->counters.end()) {
-    // Only first registration serializes the canonical key.
-    std::string key = CanonicalKey(sorted);
-    family->label_sets.emplace(key, labels);
-    it = family->counters
-             .emplace(std::move(key), std::make_unique<Counter>())
-             .first;
-  }
-  return it->second.get();
+  return ResolveSeries<Counter>(*family, {labels.begin(), labels.size()});
 }
 
 Gauge* MetricsRegistry::GetGauge(std::string_view name, std::string_view help,
-                                 const Labels& labels) {
+                                 std::initializer_list<Label> labels) {
   MutexLock lock(&mu_);
   Family* family = ResolveFamily(name, help, MetricType::kGauge);
   if (family == nullptr) return nullptr;
-  Labels sorted_storage;
-  const Labels& sorted = SortedLabelView(labels, sorted_storage);
-  auto it = family->gauges.find(SortedLabelsRef{&sorted});
-  if (it == family->gauges.end()) {
-    std::string key = CanonicalKey(sorted);
-    family->label_sets.emplace(key, labels);
-    it = family->gauges.emplace(std::move(key), std::make_unique<Gauge>())
-             .first;
-  }
-  return it->second.get();
+  return ResolveSeries<Gauge>(*family, {labels.begin(), labels.size()});
 }
 
 Histogram* MetricsRegistry::GetHistogram(std::string_view name,
                                          std::string_view help,
                                          const HistogramOptions& options,
-                                         const Labels& labels) {
+                                         std::initializer_list<Label> labels) {
   MutexLock lock(&mu_);
   Family* family = ResolveFamily(name, help, MetricType::kHistogram);
   if (family == nullptr) return nullptr;
-  Labels sorted_storage;
-  const Labels& sorted = SortedLabelView(labels, sorted_storage);
-  auto it = family->histograms.find(SortedLabelsRef{&sorted});
-  if (it == family->histograms.end()) {
-    family->histogram = options;
-    std::string key = CanonicalKey(sorted);
-    family->label_sets.emplace(key, labels);
-    it = family->histograms
-             .emplace(std::move(key), std::make_unique<Histogram>(options))
-             .first;
-  } else {
-    // A family has one bucket layout; a mismatched re-registration is
-    // the histogram flavor of a type conflict.
-    const Histogram& existing = *it->second;
-    Histogram probe(options);
-    if (existing.bounds() != probe.bounds()) return nullptr;
-  }
-  return it->second.get();
+  Histogram* histogram = ResolveSeries<Histogram>(
+      *family, {labels.begin(), labels.size()}, options);
+  // A family has one bucket layout; a mismatched re-registration is
+  // the histogram flavor of a type conflict.
+  return histogram->HasLayout(options) ? histogram : nullptr;
 }
 
 std::vector<std::string> MetricsRegistry::MetricNames() const {
   MutexLock lock(&mu_);
   std::vector<std::string> names;
   names.reserve(families_.size());
-  for (const auto& [name, family] : families_) names.push_back(name);
+  for (const auto& [name, family] : families_) names.emplace_back(name);
   return names;
 }
 
@@ -330,24 +355,26 @@ MetricsRegistry::View MetricsRegistry::BuildView() const {
   View view;
   MutexLock lock(&mu_);
   for (const auto& [name, family] : families_) {
-    FamilyView& out = view[name];
+    FamilyView& out = view[std::string(name)];
     out.type = family.type;
-    out.help = family.help;
-    auto series_for = [&](const std::string& key) -> SeriesView& {
-      SeriesView& series = out.series[key];
-      series.labels = family.label_sets.at(key);
+    out.help = std::string(family.help);
+    auto series_for = [&](const std::pmr::string& key,
+                          const StoredLabels& labels) -> SeriesView& {
+      SeriesView& series = out.series[std::string(key)];
+      for (const auto& [k, v] : labels) series.labels.emplace_back(k, v);
       return series;
     };
     for (const auto& [key, counter] : family.counters) {
-      series_for(key).value = counter->value();
+      series_for(key, counter.labels).value = counter.metric.value();
     }
     for (const auto& [key, gauge] : family.gauges) {
-      SeriesView& series = series_for(key);
-      series.value = gauge->value();
-      series.history = gauge->history();
+      SeriesView& series = series_for(key, gauge.labels);
+      series.value = gauge.metric.value();
+      series.history = gauge.metric.history();
     }
     for (const auto& [key, histogram] : family.histograms) {
-      series_for(key).histogram = histogram->snapshot();
+      series_for(key, histogram.labels).histogram =
+          histogram.metric.snapshot();
     }
   }
   return view;

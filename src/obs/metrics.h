@@ -3,8 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
-#include <memory>
+#include <memory_resource>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -41,9 +43,11 @@
 
 namespace quasaq::obs {
 
-// One metric's label set, e.g. {{"site", "2"}, {"kind", "disk"}}.
-// Canonicalized (sorted by key) when a family child is resolved.
-using Labels = std::vector<std::pair<std::string, std::string>>;
+// One label as instrumentation passes it, e.g. {"site", "2"}. A series'
+// label set, e.g. {{"site", "2"}, {"kind", "disk"}}, is canonicalized
+// (sorted by key) when a family child is resolved; the registry copies
+// the text only when the series is first registered.
+using Label = std::pair<std::string_view, std::string_view>;
 
 /// Escapes `text` for embedding in a JSON string literal.
 std::string JsonEscapeString(std::string_view text);
@@ -144,6 +148,9 @@ class Histogram {
 
   const std::vector<double>& bounds() const { return bounds_; }
 
+  /// Whether `options` describe this histogram's bucket bounds.
+  bool HasLayout(const HistogramOptions& options) const;
+
  private:
   std::vector<double> bounds_;  // immutable after construction
   mutable Mutex mu_;
@@ -166,12 +173,15 @@ std::string_view MetricTypeName(MetricType type);
 class MetricsRegistry {
  public:
   Counter* GetCounter(std::string_view name, std::string_view help,
-                      const Labels& labels = {}) QUASAQ_EXCLUDES(mu_);
+                      std::initializer_list<Label> labels = {})
+      QUASAQ_EXCLUDES(mu_);
   Gauge* GetGauge(std::string_view name, std::string_view help,
-                  const Labels& labels = {}) QUASAQ_EXCLUDES(mu_);
+                  std::initializer_list<Label> labels = {})
+      QUASAQ_EXCLUDES(mu_);
   Histogram* GetHistogram(std::string_view name, std::string_view help,
                           const HistogramOptions& options = {},
-                          const Labels& labels = {}) QUASAQ_EXCLUDES(mu_);
+                          std::initializer_list<Label> labels = {})
+      QUASAQ_EXCLUDES(mu_);
 
   /// All registered family names, sorted.
   std::vector<std::string> MetricNames() const QUASAQ_EXCLUDES(mu_);
@@ -191,35 +201,62 @@ class MetricsRegistry {
   std::string JsonSnapshot() const QUASAQ_EXCLUDES(mu_);
 
  private:
-  // Transparent child-map comparator: compares stored canonical keys
-  // ("k=v,k=v", label pairs sorted) against a *sorted* label set without
-  // serializing the probe — labeled-family lookups on the hot path cost
-  // zero allocations after first registration.
-  struct SortedLabelsRef {
-    const Labels* labels;
-  };
-  struct ChildKeyLess {
-    using is_transparent = void;
-    bool operator()(const std::string& a, const std::string& b) const {
-      return a < b;
-    }
-    bool operator()(const std::string& a, const SortedLabelsRef& b) const;
-    bool operator()(const SortedLabelsRef& a, const std::string& b) const;
+  // Registration state lives in `arena_`: family and series records,
+  // names, help texts and label text are carved from one monotonic
+  // buffer that grows geometrically and is released with the registry
+  // (nothing is ever unregistered). A new series thus costs no heap
+  // allocation of its own beyond its metric's (a histogram's buckets),
+  // and looking up an existing one costs none at all.
+  using StoredLabels =
+      std::pmr::vector<std::pair<std::pmr::string, std::pmr::string>>;
+
+  // One registered series: the metric and its labels in registration
+  // order (exposition renders them as the instrumentation passed them).
+  template <typename Metric>
+  struct Series {
+    template <typename... Args>
+    Series(std::span<const Label> registered,
+           std::pmr::memory_resource* arena, Args&&... args);
+    Metric metric;
+    StoredLabels labels;
   };
 
-  struct Family {
-    MetricType type = MetricType::kCounter;
-    std::string help;
-    HistogramOptions histogram;
-    // Children keyed by canonical (sorted, serialized) label set.
-    // std::map keeps exposition order deterministic.
-    std::map<std::string, std::unique_ptr<Counter>, ChildKeyLess> counters;
-    std::map<std::string, std::unique_ptr<Gauge>, ChildKeyLess> gauges;
-    std::map<std::string, std::unique_ptr<Histogram>, ChildKeyLess> histograms;
-    // Canonical key -> labels in first-registration order (exposition
-    // renders labels as the instrumentation passed them).
-    std::map<std::string, Labels> label_sets;
+  // Transparent child-map comparator: compares stored canonical keys
+  // ("k=v,k=v", label pairs sorted) against a *sorted* label set without
+  // serializing the probe.
+  struct ChildKeyLess {
+    using is_transparent = void;
+    bool operator()(const std::pmr::string& a,
+                    const std::pmr::string& b) const {
+      return a < b;
+    }
+    bool operator()(const std::pmr::string& a,
+                    std::span<const Label> b) const;
+    bool operator()(std::span<const Label> a,
+                    const std::pmr::string& b) const;
   };
+
+  // Children keyed by canonical (sorted, serialized) label set.
+  // std::map keeps exposition order deterministic and child addresses
+  // stable.
+  template <typename Metric>
+  using SeriesMap = std::pmr::map<std::pmr::string, Series<Metric>,
+                                  ChildKeyLess>;
+
+  struct Family {
+    Family(MetricType type, std::string_view help,
+           std::pmr::memory_resource* arena);
+    template <typename Metric>
+    SeriesMap<Metric>& children();
+
+    MetricType type;
+    std::pmr::string help;
+    SeriesMap<Counter> counters;
+    SeriesMap<Gauge> gauges;
+    SeriesMap<Histogram> histograms;
+  };
+
+  using Labels = std::vector<std::pair<std::string, std::string>>;
 
   // A point-in-time copy of every family, taken under mu_ and rendered
   // by the exposition formats after the lock is released.
@@ -242,9 +279,18 @@ class MetricsRegistry {
 
   Family* ResolveFamily(std::string_view name, std::string_view help,
                         MetricType type) QUASAQ_REQUIRES(mu_);
+  // The child of `family` labeled `labels`, registered with `args` as
+  // its metric's constructor arguments when new.
+  template <typename Metric, typename... Args>
+  Metric* ResolveSeries(Family& family, std::span<const Label> labels,
+                        Args&&... args) QUASAQ_REQUIRES(mu_);
 
   mutable Mutex mu_;
-  std::map<std::string, Family, std::less<>> families_ QUASAQ_GUARDED_BY(mu_);
+  // Declared before families_, which allocates from it; only touched
+  // through families_ and registration, both under mu_.
+  std::pmr::monotonic_buffer_resource arena_;
+  std::pmr::map<std::pmr::string, Family, std::less<>> families_
+      QUASAQ_GUARDED_BY(mu_){&arena_};
 };
 
 }  // namespace quasaq::obs

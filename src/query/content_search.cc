@@ -1,6 +1,8 @@
 #include "query/content_search.h"
 
 #include <algorithm>
+#include <cassert>
+#include <iterator>
 
 namespace quasaq::query {
 
@@ -16,55 +18,98 @@ double FeatureDistanceSquared(const std::vector<double>& a,
   return sum;
 }
 
-void ContentIndex::Add(const media::VideoContent& content) {
-  contents_[content.id] = content;
-  for (const std::string& keyword : content.keywords) {
-    keyword_index_[keyword].push_back(content.id);
+ContentIndex::ContentIndex(std::span<const media::VideoContent> catalog) {
+  size_t keywords = 0;
+  contents_.reserve(catalog.size());
+  title_index_.reserve(catalog.size());
+  for (const media::VideoContent& content : catalog) {
+    contents_.push_back(&content);
+    title_index_.emplace_back(content.title, content.id);
+    keywords += content.keywords.size();
   }
-  title_index_[content.title] = content.id;
+  keyword_index_.reserve(keywords);
+  for (const media::VideoContent& content : catalog) {
+    for (const std::string& keyword : content.keywords) {
+      keyword_index_.emplace_back(keyword, content.id);
+    }
+  }
+  std::sort(contents_.begin(), contents_.end(),
+            [](const media::VideoContent* a, const media::VideoContent* b) {
+              return a->id < b->id;
+            });
+  assert(std::adjacent_find(contents_.begin(), contents_.end(),
+                            [](const media::VideoContent* a,
+                               const media::VideoContent* b) {
+                              return a->id == b->id;
+                            }) == contents_.end() &&
+         "duplicate logical OID");
+  std::sort(keyword_index_.begin(), keyword_index_.end());
+  // Reversed catalog order among equal titles, so a lookup's first hit
+  // is the object indexed last.
+  std::reverse(title_index_.begin(), title_index_.end());
+  std::stable_sort(
+      title_index_.begin(), title_index_.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+const media::VideoContent& ContentIndex::ContentOf(LogicalOid id) const {
+  auto it = std::lower_bound(
+      contents_.begin(), contents_.end(), id,
+      [](const media::VideoContent* content, LogicalOid key) {
+        return content->id < key;
+      });
+  assert(it != contents_.end() && (*it)->id == id);
+  return **it;
 }
 
 std::vector<LogicalOid> ContentIndex::CandidatesFor(
     const ContentPredicate& predicate) const {
+  // The objects posted under `term`, in logical-OID order.
+  auto postings = [](const Postings& index, std::string_view term) {
+    auto [first, last] = std::equal_range(
+        index.begin(), index.end(), std::pair(term, LogicalOid()),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<LogicalOid> ids;
+    ids.reserve(static_cast<size_t>(last - first));
+    for (auto it = first; it != last; ++it) ids.push_back(it->second);
+    return ids;
+  };
   // Title lookup is the most selective; start there if present.
   if (predicate.title.has_value()) {
-    auto it = title_index_.find(*predicate.title);
-    if (it == title_index_.end()) return {};
-    std::vector<LogicalOid> single{it->second};
+    std::vector<LogicalOid> titled = postings(title_index_, *predicate.title);
+    if (titled.empty()) return {};
+    titled.resize(1);
     // Keyword predicates must still hold.
-    const media::VideoContent& content = contents_.at(it->second);
+    const media::VideoContent& content = ContentOf(titled.front());
     for (const std::string& keyword : predicate.keywords) {
       if (std::find(content.keywords.begin(), content.keywords.end(),
                     keyword) == content.keywords.end()) {
         return {};
       }
     }
-    return single;
+    return titled;
   }
   if (!predicate.keywords.empty()) {
     // Intersect the posting lists of every keyword.
-    auto it = keyword_index_.find(predicate.keywords.front());
-    if (it == keyword_index_.end()) return {};
-    std::vector<LogicalOid> result = it->second;
-    std::sort(result.begin(), result.end());
-    for (size_t k = 1; k < predicate.keywords.size(); ++k) {
-      auto kt = keyword_index_.find(predicate.keywords[k]);
-      if (kt == keyword_index_.end()) return {};
-      std::vector<LogicalOid> postings = kt->second;
-      std::sort(postings.begin(), postings.end());
+    std::vector<LogicalOid> result =
+        postings(keyword_index_, predicate.keywords.front());
+    for (size_t k = 1; k < predicate.keywords.size() && !result.empty();
+         ++k) {
+      std::vector<LogicalOid> other =
+          postings(keyword_index_, predicate.keywords[k]);
       std::vector<LogicalOid> merged;
-      std::set_intersection(result.begin(), result.end(), postings.begin(),
-                            postings.end(), std::back_inserter(merged));
+      std::set_intersection(result.begin(), result.end(), other.begin(),
+                            other.end(), std::back_inserter(merged));
       result = std::move(merged);
-      if (result.empty()) return result;
     }
     return result;
   }
   // No filter: every indexed object is a candidate.
   std::vector<LogicalOid> all;
   all.reserve(contents_.size());
-  for (const auto& [id, content] : contents_) all.push_back(id);
-  std::sort(all.begin(), all.end());
+  for (const media::VideoContent* content : contents_) {
+    all.push_back(content->id);
+  }
   return all;
 }
 
@@ -76,7 +121,7 @@ std::vector<LogicalOid> ContentIndex::Search(
   std::vector<std::pair<double, LogicalOid>> ranked;
   ranked.reserve(candidates.size());
   for (LogicalOid id : candidates) {
-    const media::VideoContent& content = contents_.at(id);
+    const media::VideoContent& content = ContentOf(id);
     ranked.emplace_back(
         FeatureDistanceSquared(content.features, *predicate.similar_to), id);
   }

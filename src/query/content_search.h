@@ -1,8 +1,9 @@
 #ifndef QUASAQ_QUERY_CONTENT_SEARCH_H_
 #define QUASAQ_QUERY_CONTENT_SEARCH_H_
 
-#include <string>
-#include <unordered_map>
+#include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -15,13 +16,18 @@
 // QoS-constrained delivery. Keyword predicates are resolved through an
 // inverted index; SIMILAR(...) ranks candidates by Euclidean distance
 // over the stored feature vectors.
+//
+// The index is built in one pass over a catalog it does not copy: it
+// keeps pointers into the catalog, which must outlive it unchanged.
 
 namespace quasaq::query {
 
 class ContentIndex {
  public:
-  /// Indexes one logical object (keywords, title and features).
-  void Add(const media::VideoContent& content);
+  /// Indexes every logical object of `catalog` (keywords, title and
+  /// features). Logical OIDs must be unique; when two objects share a
+  /// title, the later one owns it.
+  explicit ContentIndex(std::span<const media::VideoContent> catalog);
 
   /// Evaluates the content component of a query. Results are ranked by
   /// similarity when SIMILAR is present (then truncated to top_k),
@@ -31,12 +37,19 @@ class ContentIndex {
   size_t indexed_count() const { return contents_.size(); }
 
  private:
+  // (term, object) postings, sorted by term then logical OID.
+  using Postings = std::vector<std::pair<std::string_view, LogicalOid>>;
+
   std::vector<LogicalOid> CandidatesFor(
       const ContentPredicate& predicate) const;
+  const media::VideoContent& ContentOf(LogicalOid id) const;
 
-  std::unordered_map<LogicalOid, media::VideoContent> contents_;
-  std::unordered_map<std::string, std::vector<LogicalOid>> keyword_index_;
-  std::unordered_map<std::string, LogicalOid> title_index_;
+  // The catalog's objects, sorted by logical OID.
+  std::vector<const media::VideoContent*> contents_;
+  // One posting per keyword occurrence.
+  Postings keyword_index_;
+  // One posting per title, the later object first among equal titles.
+  Postings title_index_;
 };
 
 /// Squared Euclidean distance between two feature vectors; shorter

@@ -10,12 +10,14 @@ PoolTelemetry::PoolTelemetry(const ResourcePool* pool,
     : pool_(pool) {
   assert(pool_ != nullptr);
   assert(registry != nullptr);
-  for (const BucketId& bucket : pool_->Buckets()) {
+  const std::vector<BucketId> buckets = pool_->Buckets();
+  gauges_.reserve(buckets.size());
+  for (const BucketId& bucket : buckets) {
     gauges_.push_back(registry->GetGauge(
         "quasaq_resource_utilization_ratio",
         "Bucket fill U_i / R_i the LRB cost model reads",
         {{"site", std::to_string(bucket.site.value())},
-         {"kind", std::string(ResourceKindName(bucket.kind))}}));
+         {"kind", ResourceKindName(bucket.kind)}}));
   }
 }
 

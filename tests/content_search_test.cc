@@ -17,13 +17,14 @@ media::VideoContent MakeContent(int64_t oid, std::vector<std::string> keywords,
 
 class ContentIndexTest : public ::testing::Test {
  protected:
-  ContentIndexTest() {
-    index_.Add(MakeContent(0, {"news", "weather"}, {0.0, 0.0}));
-    index_.Add(MakeContent(1, {"news", "sports"}, {0.5, 0.5}));
-    index_.Add(MakeContent(2, {"sunset", "ocean"}, {1.0, 1.0}));
-    index_.Add(MakeContent(3, {"sunset"}, {0.9, 0.9}));
-  }
-  ContentIndex index_;
+  // The catalog outlives the index built over it.
+  std::vector<media::VideoContent> catalog_ = {
+      MakeContent(0, {"news", "weather"}, {0.0, 0.0}),
+      MakeContent(1, {"news", "sports"}, {0.5, 0.5}),
+      MakeContent(2, {"sunset", "ocean"}, {1.0, 1.0}),
+      MakeContent(3, {"sunset"}, {0.9, 0.9}),
+  };
+  ContentIndex index_{catalog_};
 };
 
 TEST_F(ContentIndexTest, EmptyPredicateMatchesAll) {
@@ -117,6 +118,22 @@ TEST_F(ContentIndexTest, SimilarityCombinedWithKeywordFilter) {
   EXPECT_EQ(matches[0], LogicalOid(3));
 }
 
+TEST(ContentIndexEdgeTest, SharedTitleResolvesToTheLaterObject) {
+  std::vector<media::VideoContent> catalog = {MakeContent(5, {"a"}),
+                                              MakeContent(2, {"a", "a"})};
+  catalog[1].title = catalog[0].title;
+  ContentIndex index(catalog);
+  ContentPredicate predicate;
+  predicate.title = catalog[0].title;
+  EXPECT_EQ(index.Search(predicate), std::vector<LogicalOid>{LogicalOid(2)});
+  // One posting per keyword occurrence, in logical-OID order.
+  predicate = ContentPredicate();
+  predicate.keywords = {"a"};
+  EXPECT_EQ(index.Search(predicate),
+            (std::vector<LogicalOid>{LogicalOid(2), LogicalOid(2),
+                                     LogicalOid(5)}));
+}
+
 TEST(FeatureDistanceTest, ZeroForIdenticalVectors) {
   EXPECT_DOUBLE_EQ(FeatureDistanceSquared({1.0, 2.0}, {1.0, 2.0}), 0.0);
 }
@@ -131,10 +148,11 @@ TEST(FeatureDistanceTest, ShorterVectorIsZeroPadded) {
 }
 
 TEST(ContentIndexEdgeTest, IndexedCount) {
-  ContentIndex index;
-  EXPECT_EQ(index.indexed_count(), 0u);
-  index.Add(MakeContent(0, {"a"}));
-  EXPECT_EQ(index.indexed_count(), 1u);
+  EXPECT_EQ(ContentIndex(std::span<const media::VideoContent>())
+                .indexed_count(),
+            0u);
+  std::vector<media::VideoContent> catalog = {MakeContent(0, {"a"})};
+  EXPECT_EQ(ContentIndex(catalog).indexed_count(), 1u);
 }
 
 }  // namespace

@@ -69,8 +69,8 @@ TEST(MetadataStoreTest, ReplicasOfSortedByOid) {
   ASSERT_TRUE(store.InsertReplica(MakeReplica(11, 1, 1)).ok());
   auto replicas = store.ReplicasOf(LogicalOid(1));
   ASSERT_EQ(replicas.size(), 3u);
-  EXPECT_EQ(replicas[0]->id, PhysicalOid(10));
-  EXPECT_EQ(replicas[2]->id, PhysicalOid(12));
+  EXPECT_EQ(replicas[0].info.id, PhysicalOid(10));
+  EXPECT_EQ(replicas[2].info.id, PhysicalOid(12));
 }
 
 TEST(MetadataStoreTest, QosProfileLifecycle) {
@@ -219,6 +219,158 @@ TEST_F(DistributedEngineTest, EraseContentRemovesEverythingEverywhere) {
   EXPECT_EQ(engine_.AllContentIds().size(), 2u);
   EXPECT_EQ(engine_.EraseContent(LogicalOid(0)).code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(DistributedEngineTest, ProfileAndReplicaChangesInvalidateRemoteCaches) {
+  Populate(1, 2);
+  SiteId other(1);  // content 0 is owned by site 0
+  // Site 1 caches content 0's bundle, which has no profile yet.
+  EXPECT_FALSE(engine_.FindQosProfile(other, PhysicalOid(0)).has_value());
+  QosProfile profile{0.03, 100.0, 100.0, 200.0};
+  ASSERT_TRUE(engine_.SetQosProfile(PhysicalOid(0), profile).ok());
+  auto found = engine_.FindQosProfile(other, PhysicalOid(0));
+  ASSERT_TRUE(found.has_value());
+  EXPECT_DOUBLE_EQ(found->cpu_fraction, 0.03);
+  EXPECT_EQ(engine_.ReplicasOf(other, LogicalOid(0)).size(), 2u);
+
+  ASSERT_TRUE(engine_.EraseReplica(PhysicalOid(0)).ok());
+  std::vector<media::ReplicaInfo> replicas =
+      engine_.ReplicasOf(other, LogicalOid(0));
+  ASSERT_EQ(replicas.size(), 1u);
+  EXPECT_EQ(replicas[0].id, PhysicalOid(1));
+  EXPECT_FALSE(engine_.FindQosProfile(other, PhysicalOid(0)).has_value());
+  // Each change forced a fresh remote fetch instead of a stale hit.
+  EXPECT_EQ(engine_.stats_for(other).remote_accesses, 3u);
+  EXPECT_EQ(engine_.stats_for(other).cache_hits, 1u);
+}
+
+// A catalog with sparse, out-of-order OIDs, as the row-by-row tests use.
+media::VideoLibrary SparseCatalog() {
+  media::VideoLibrary catalog;
+  for (int64_t c : {0, 1, 2, 99, 3}) {
+    catalog.contents.push_back(MakeContent(c));
+    for (int64_t r = 0; r < 3; ++r) {
+      catalog.replicas.push_back(MakeReplica(c * 10 + r, c, r % 3));
+    }
+  }
+  catalog.replicas.push_back(MakeReplica(5, 0, 2));
+  catalog.replicas.push_back(MakeReplica(1000, 99, 1));
+  return catalog;
+}
+
+// Loads `catalog` into `engine` one row at a time through the runtime
+// path, drawing profiles in the order Load draws them.
+void InsertRowByRow(const media::VideoLibrary& catalog, QosSampler& sampler,
+                    DistributedMetadataEngine& engine) {
+  for (const media::VideoContent& content : catalog.contents) {
+    ASSERT_TRUE(engine.InsertContent(content).ok());
+  }
+  for (const media::ReplicaInfo& replica : catalog.replicas) {
+    ASSERT_TRUE(engine.InsertReplica(replica).ok());
+    ASSERT_TRUE(
+        engine.SetQosProfile(replica.id, sampler.SampleStreaming(replica))
+            .ok());
+  }
+}
+
+TEST(DistributedEngineLoadTest, AnswersExactlyLikeRowByRowInsertion) {
+  const std::vector<SiteId> sites = {SiteId(0), SiteId(1), SiteId(2)};
+  QosSampler::Options noisy;
+  noisy.measurement_noise_sd = 0.1;  // every draw differs
+  for (const media::VideoLibrary& catalog :
+       {SparseCatalog(),
+        media::BuildExperimentLibrary(media::LibraryOptions(), sites)}) {
+    DistributedMetadataEngine::Options options;
+    options.cache_capacity = 4;  // evictions happen along the way
+    DistributedMetadataEngine loaded(sites, options);
+    DistributedMetadataEngine inserted(sites, options);
+    QosSampler load_sampler(noisy, 7);
+    QosSampler insert_sampler(noisy, 7);
+    ASSERT_TRUE(loaded.Load(catalog, load_sampler).ok());
+    InsertRowByRow(catalog, insert_sampler, inserted);
+
+    ASSERT_EQ(loaded.AllContentIds(), inserted.AllContentIds());
+    std::vector<LogicalOid> contents = inserted.AllContentIds();
+    contents.push_back(LogicalOid(50));  // never registered
+    std::vector<PhysicalOid> replicas = {PhysicalOid(77)};
+    for (const media::ReplicaInfo& replica : catalog.replicas) {
+      replicas.push_back(replica.id);
+    }
+    for (SiteId from : sites) {
+      for (LogicalOid id : contents) {
+        SimTime loaded_latency = 0;
+        SimTime inserted_latency = 0;
+        auto a = loaded.FindContent(from, id, &loaded_latency);
+        auto b = inserted.FindContent(from, id, &inserted_latency);
+        ASSERT_EQ(a.has_value(), b.has_value());
+        if (a.has_value()) {
+          EXPECT_EQ(a->id, b->id);
+          EXPECT_EQ(a->title, b->title);
+          EXPECT_EQ(a->keywords, b->keywords);
+          EXPECT_EQ(a->features, b->features);
+          EXPECT_EQ(a->duration_seconds, b->duration_seconds);
+          EXPECT_EQ(a->master_quality, b->master_quality);
+        }
+        std::vector<media::ReplicaInfo> ra =
+            loaded.ReplicasOf(from, id, &loaded_latency);
+        std::vector<media::ReplicaInfo> rb =
+            inserted.ReplicasOf(from, id, &inserted_latency);
+        ASSERT_EQ(ra.size(), rb.size());
+        for (size_t i = 0; i < ra.size(); ++i) {
+          EXPECT_EQ(ra[i].id, rb[i].id);
+          EXPECT_EQ(ra[i].content, rb[i].content);
+          EXPECT_EQ(ra[i].site, rb[i].site);
+          EXPECT_EQ(ra[i].qos, rb[i].qos);
+          EXPECT_EQ(ra[i].bitrate_kbps, rb[i].bitrate_kbps);
+          EXPECT_EQ(ra[i].frame_seed, rb[i].frame_seed);
+        }
+        EXPECT_EQ(loaded_latency, inserted_latency);
+      }
+      for (PhysicalOid id : replicas) {
+        SimTime loaded_latency = 0;
+        SimTime inserted_latency = 0;
+        auto a = loaded.FindQosProfile(from, id, &loaded_latency);
+        auto b = inserted.FindQosProfile(from, id, &inserted_latency);
+        ASSERT_EQ(a.has_value(), b.has_value());
+        if (a.has_value()) {
+          EXPECT_EQ(a->cpu_fraction, b->cpu_fraction);
+          EXPECT_EQ(a->net_kbps, b->net_kbps);
+          EXPECT_EQ(a->disk_kbps, b->disk_kbps);
+          EXPECT_EQ(a->memory_kb, b->memory_kb);
+        }
+        EXPECT_EQ(loaded_latency, inserted_latency);
+      }
+    }
+    for (SiteId site : sites) {
+      EXPECT_EQ(loaded.stats_for(site).local_accesses,
+                inserted.stats_for(site).local_accesses);
+      EXPECT_EQ(loaded.stats_for(site).cache_hits,
+                inserted.stats_for(site).cache_hits);
+      EXPECT_EQ(loaded.stats_for(site).remote_accesses,
+                inserted.stats_for(site).remote_accesses);
+    }
+  }
+}
+
+TEST(DistributedEngineLoadTest, RejectsWhatRowByRowInsertionRejects) {
+  const std::vector<SiteId> sites = {SiteId(0), SiteId(1), SiteId(2)};
+  QosSampler sampler;
+  media::VideoLibrary duplicate_content = SparseCatalog();
+  duplicate_content.contents.push_back(MakeContent(99));
+  media::VideoLibrary orphan_replica = SparseCatalog();
+  orphan_replica.replicas.push_back(MakeReplica(500, 42, 0));
+  // Physical OID 10 belongs to content 1; content 2 lives at another
+  // site's store, so only the engine-wide directory can see the clash.
+  media::VideoLibrary duplicate_replica = SparseCatalog();
+  duplicate_replica.replicas.push_back(MakeReplica(10, 2, 0));
+  for (const auto& [catalog, code] :
+       {std::pair(duplicate_content, StatusCode::kAlreadyExists),
+        std::pair(orphan_replica, StatusCode::kFailedPrecondition),
+        std::pair(duplicate_replica, StatusCode::kAlreadyExists)}) {
+    DistributedMetadataEngine engine(sites,
+                                     DistributedMetadataEngine::Options());
+    EXPECT_EQ(engine.Load(catalog, sampler).code(), code);
+  }
 }
 
 TEST_F(DistributedEngineTest, CacheEvictionUnderTinyCapacity) {
