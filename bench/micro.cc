@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrate components: event queue throughput,
-// fluid-server rescheduling, VBR frame generation, metadata access with
-// and without cache hits, content search, and resource-pool operations.
+// VBR frame generation, metadata access with and without cache hits,
+// content search, and resource-pool operations.
 
 #include <benchmark/benchmark.h>
 
@@ -16,7 +16,6 @@
 #include "obs/trace.h"
 #include "query/content_search.h"
 #include "resource/pool.h"
-#include "simcore/fluid.h"
 #include "simcore/simulator.h"
 
 namespace {
@@ -33,21 +32,6 @@ void BM_SimulatorScheduleExecute(benchmark::State& state) {
   benchmark::DoNotOptimize(counter);
 }
 BENCHMARK(BM_SimulatorScheduleExecute);
-
-void BM_FluidServerAddRemove(benchmark::State& state) {
-  sim::Simulator simulator;
-  sim::FluidServer server(&simulator, 3200.0);
-  // A standing population so every add re-solves a non-trivial
-  // allocation.
-  for (int i = 0; i < 16; ++i) {
-    server.AddFlow(1e12, 190.0, nullptr);
-  }
-  for (auto _ : state) {
-    sim::FlowId id = server.AddFlow(1e12, 119.0, nullptr);
-    server.RemoveFlow(id);
-  }
-}
-BENCHMARK(BM_FluidServerAddRemove);
 
 void BM_FrameGeneration(benchmark::State& state) {
   media::FrameSizeGenerator generator(media::GopPattern::Standard(), 119.0,

@@ -50,10 +50,4 @@ double SegmentLayout::PrefixKb(int segments) const {
   return total;
 }
 
-int SegmentLayout::SegmentAtOffsetKb(double offset_kb) const {
-  if (full_segment_kb_ <= 0.0 || offset_kb <= 0.0) return 0;
-  int index = static_cast<int>(offset_kb / full_segment_kb_);
-  return std::clamp(index, 0, num_segments_ - 1);
-}
-
 }  // namespace quasaq::cache

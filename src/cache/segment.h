@@ -29,7 +29,7 @@ struct SegmentKey {
 
 // The deterministic segment geometry of one replica. Pure function of the
 // replica record and the layout options, so every component (cache,
-// storage manager, planner) derives the same geometry independently.
+// planner) derives the same geometry independently.
 class SegmentLayout {
  public:
   struct Options {
@@ -58,10 +58,6 @@ class SegmentLayout {
 
   /// Sum of SegmentKb over the first `segments` segments.
   double PrefixKb(int segments) const;
-
-  /// The segment containing byte offset `offset_kb` (clamped to the
-  /// valid range).
-  int SegmentAtOffsetKb(double offset_kb) const;
 
  private:
   SegmentLayout() = default;

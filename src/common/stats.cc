@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 
 namespace quasaq {
 
@@ -110,14 +109,6 @@ std::vector<TimeSeries::Sample> WindowedRate::Rates(SimTime horizon) const {
     out.push_back({static_cast<SimTime>(b) * window_, counts[b]});
   }
   return out;
-}
-
-std::string FormatStatsRow(const std::string& label,
-                           const RunningStats& stats) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%-36s mean=%10.2f  sd=%10.2f  n=%zu",
-                label.c_str(), stats.mean(), stats.stddev(), stats.count());
-  return std::string(buf);
 }
 
 }  // namespace quasaq

@@ -2,7 +2,6 @@
 #define QUASAQ_COMMON_STATS_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -91,10 +90,6 @@ class WindowedRate {
   SimTime window_;
   std::vector<SimTime> events_;
 };
-
-/// Formats a (label, stats) row as "label  mean=...  sd=...  n=...".
-std::string FormatStatsRow(const std::string& label,
-                           const RunningStats& stats);
 
 }  // namespace quasaq
 

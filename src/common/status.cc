@@ -18,12 +18,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "FAILED_PRECONDITION";
     case StatusCode::kAborted:
       return "ABORTED";
-    case StatusCode::kUnavailable:
-      return "UNAVAILABLE";
-    case StatusCode::kUnimplemented:
-      return "UNIMPLEMENTED";
-    case StatusCode::kInternal:
-      return "INTERNAL";
   }
   return "UNKNOWN";
 }

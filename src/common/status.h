@@ -23,9 +23,6 @@ enum class StatusCode {
   kFailedPrecondition,
   // The operation lost a race: the state it was decided on has changed.
   kAborted,
-  kUnavailable,
-  kUnimplemented,
-  kInternal,
 };
 
 /// Returns a stable human-readable name for `code` (e.g. "NOT_FOUND").
@@ -61,15 +58,6 @@ class [[nodiscard]] Status {
   }
   static Status Aborted(std::string msg) {
     return Status(StatusCode::kAborted, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
-  static Status Internal(std::string msg) {
-    return Status(StatusCode::kInternal, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -27,7 +27,7 @@
 #include "resource/pool.h"
 #include "resource/telemetry.h"
 #include "simcore/simulator.h"
-#include "storage/storage_manager.h"
+#include "storage/object_store.h"
 
 // End-to-end system facades for the three configurations the paper
 // evaluates (Figures 6 and 7):
@@ -52,8 +52,9 @@
 // SessionManager (core/session_manager.h). See docs/ARCHITECTURE.md.
 //
 // Sessions are modeled at the session level here (admission +
-// timed completion); the frame-level QoS path of Figure 5 uses
-// net::RtpStreamingSession with the CPU schedulers directly.
+// timed completion). The one frame-level path is Figure 5's driver
+// (workload/interframe.cc), which runs net::RtpStreamingSession on the
+// CPU schedulers directly.
 
 namespace quasaq::core {
 
@@ -81,7 +82,7 @@ class MediaDbSystem {
     meta::QosSampler::Options sampler;
 
     // Dynamic online replication (QuaSAQ only). When enabled the system
-    // instantiates per-site storage managers, tracks per-(content,
+    // instantiates per-site object stores, tracks per-(content,
     // quality) demand and lets a ReplicationManager materialize/evict
     // replicas at runtime.
     struct DynamicReplication {
@@ -236,10 +237,10 @@ class MediaDbSystem {
   repl::ReplicationManager* replication_manager() {
     return replication_manager_.get();
   }
-  /// The storage manager of `site`; non-null only with replication on.
-  storage::StorageManager* storage_at(SiteId site) {
-    for (auto& store : storage_) {
-      if (store->site() == site) return store.get();
+  /// The object store of `site`; non-null only with replication on.
+  storage::ObjectStore* storage_at(SiteId site) {
+    for (storage::ObjectStore& store : storage_) {
+      if (store.site() == site) return &store;
     }
     return nullptr;
   }
@@ -294,7 +295,7 @@ class MediaDbSystem {
   SessionManager session_manager_;
   std::unique_ptr<CostModel> cost_model_;
   std::unique_ptr<QualityManager> quality_manager_;
-  std::vector<std::unique_ptr<storage::StorageManager>> storage_;
+  std::vector<storage::ObjectStore> storage_;
   std::unique_ptr<repl::ReplicationManager> replication_manager_;
   std::unique_ptr<cache::CacheManager> cache_manager_;
   std::unique_ptr<res::PoolTelemetry> pool_telemetry_;

@@ -97,14 +97,6 @@ class RtpStreamingSession {
   Status AttachReserved(res::ReservationCpuScheduler* scheduler,
                         double cpu_fraction);
 
-  /// For relayed plans (delivery site != source site): frames are first
-  /// forwarded at the source — consuming `cpu_fraction` of the source
-  /// CPU, reserved on `source_scheduler` — and cross the server network
-  /// with `hop_latency` before the delivery site processes them. Call
-  /// after Attach*, before Start().
-  Status AttachRelay(res::ReservationCpuScheduler* source_scheduler,
-                     double cpu_fraction, SimTime hop_latency);
-
   /// Begins streaming at the current simulated time.
   void Start(FinishedCallback on_finished = nullptr);
 
@@ -152,10 +144,6 @@ class RtpStreamingSession {
   std::unique_ptr<media::FrameSizeGenerator> frames_;
   std::unique_ptr<res::WorkQueueTask> cpu_task_;
   res::CpuScheduler* scheduler_ = nullptr;
-  // Relay pipeline (optional).
-  std::unique_ptr<res::WorkQueueTask> relay_task_;
-  double relay_work_per_kb_ms_ = 0.0;
-  SimTime relay_hop_latency_ = 0;
 
   FinishedCallback on_finished_;
   sim::EventId pending_frame_event_ = sim::kInvalidEventId;

@@ -1,13 +1,9 @@
 #ifndef QUASAQ_NET_TOPOLOGY_H_
 #define QUASAQ_NET_TOPOLOGY_H_
 
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
-#include "simcore/fluid.h"
-#include "simcore/simulator.h"
 
 // Distributed testbed topology. The paper's deployment: three servers on
 // separate 100 Mbps Ethernets, each with 3200 KB/s of total streaming
@@ -42,24 +38,6 @@ struct Topology {
 
   std::vector<SiteId> SiteIds() const;
   const ServerSpec* Find(SiteId id) const;
-};
-
-// Dynamic network state: one fluid-shared outbound link per server.
-// With admission control, total admitted traffic never exceeds the
-// capacity, so every flow holds its full rate; without admission control
-// (plain VDBMS) the link oversubscribes and all flows slow down.
-class NetworkModel {
- public:
-  NetworkModel(sim::Simulator* simulator, const Topology& topology);
-
-  /// Returns the outbound link of `site` (must exist).
-  sim::FluidServer& OutboundLink(SiteId site);
-
-  const Topology& topology() const { return topology_; }
-
- private:
-  Topology topology_;
-  std::unordered_map<SiteId, std::unique_ptr<sim::FluidServer>> links_;
 };
 
 }  // namespace quasaq::net

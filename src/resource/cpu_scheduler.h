@@ -26,6 +26,10 @@
 // promptly and in isolation, at the price of a fixed dispatch overhead
 // (0.4–0.8 ms per 10 ms reported by DSRT; 0.16 ms measured on the
 // paper's hardware).
+//
+// Admission books CPU as a pool bucket (resource/pool.h); these models
+// run frames only in Figure 5's driver (workload/interframe.cc), the one
+// frame-level execution path.
 
 namespace quasaq::res {
 

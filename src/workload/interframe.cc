@@ -16,6 +16,9 @@ namespace quasaq::workload {
 
 namespace {
 
+// Reservation headroom: each stream reserves its CPU demand times this.
+constexpr double kCpuReservationFactor = 1.2;
+
 // Builds a VCD-class MPEG-1 replica (the shape of the paper's sample
 // video with frame rate 23.97 fps) long enough for the experiment.
 media::ReplicaInfo MakeReplica(int64_t oid, double duration_seconds,
@@ -81,15 +84,15 @@ InterframeResult RunInterframeExperiment(const InterframeOptions& options) {
   }
 
   if (options.quasaq) {
-    double demand = measured.CpuDemandFraction() * 1.2;
+    double demand = measured.CpuDemandFraction() * kCpuReservationFactor;
     Status status = measured.AttachReserved(&reservation, demand);
     assert(status.ok());
     (void)status;
     for (auto& session : background) {
       // Ignore reservation failures: admission control simply stops
       // adding background load once the CPU is fully reserved.
-      (void)session->AttachReserved(&reservation,
-                                    session->CpuDemandFraction() * 1.2);
+      (void)session->AttachReserved(
+          &reservation, session->CpuDemandFraction() * kCpuReservationFactor);
     }
   } else {
     measured.AttachTimeSharing(&time_sharing);

@@ -65,17 +65,6 @@ TEST(SegmentLayoutTest, LastSegmentCarriesTheRemainder) {
   EXPECT_GT(layout.SegmentKb(layout.num_segments() - 1), 0.0);
 }
 
-TEST(SegmentLayoutTest, OffsetMapsIntoValidSegments) {
-  media::ReplicaInfo replica = MakeReplica(1, 120.0);
-  SegmentLayout layout = SegmentLayout::For(replica);
-  EXPECT_EQ(layout.SegmentAtOffsetKb(0.0), 0);
-  EXPECT_EQ(layout.SegmentAtOffsetKb(-5.0), 0);
-  EXPECT_EQ(layout.SegmentAtOffsetKb(layout.total_kb() * 2.0),
-            layout.num_segments() - 1);
-  // An offset just inside segment 1's range maps to segment 1.
-  EXPECT_EQ(layout.SegmentAtOffsetKb(layout.SegmentKb(0) + 1.0), 1);
-}
-
 TEST(SegmentCacheTest, HitMissSequenceIsDeterministic) {
   // The same seeded workload replayed into two fresh caches must produce
   // identical hit/miss sequences — cache behavior depends only on the

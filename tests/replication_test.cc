@@ -239,10 +239,7 @@ class ReplicationManagerTest : public ::testing::Test {
       : sites_({SiteId(0), SiteId(1)}),
         metadata_(sites_, meta::DistributedMetadataEngine::Options()) {
     for (SiteId site : sites_) {
-      storage::StorageManager::Options store_options;
-      store_options.capacity_kb = 0.0;  // unlimited by default
-      stores_.push_back(
-          std::make_unique<storage::StorageManager>(site, store_options));
+      stores_.emplace_back(site);  // unlimited space
     }
     // Two contents, master copies only, on both sites.
     for (int c = 0; c < 2; ++c) {
@@ -261,14 +258,14 @@ class ReplicationManagerTest : public ::testing::Test {
         replica.duration_seconds = content.duration_seconds;
         media::FinalizeReplicaSizing(replica);
         EXPECT_TRUE(metadata_.InsertReplica(replica).ok());
-        EXPECT_TRUE(stores_[s]->store().Put(replica).ok());
+        EXPECT_TRUE(stores_[s].Put(replica).ok());
       }
     }
   }
 
   ReplicationManager MakeManager(ReplicationManager::Options options = {}) {
-    std::vector<storage::StorageManager*> raw;
-    for (auto& store : stores_) raw.push_back(store.get());
+    std::vector<storage::ObjectStore*> raw;
+    for (storage::ObjectStore& store : stores_) raw.push_back(&store);
     return ReplicationManager(&simulator_, &metadata_, raw,
                               media::QualityLadder::Standard(), 1000,
                               options);
@@ -277,7 +274,7 @@ class ReplicationManagerTest : public ::testing::Test {
   sim::Simulator simulator_;
   std::vector<SiteId> sites_;
   meta::DistributedMetadataEngine metadata_;
-  std::vector<std::unique_ptr<storage::StorageManager>> stores_;
+  std::vector<storage::ObjectStore> stores_;
 };
 
 TEST_F(ReplicationManagerTest, HotDemandMaterializesReplicas) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "media/library.h"
+#include "net/playback.h"
 #include "net/topology.h"
 
 namespace quasaq::net {
@@ -259,6 +260,29 @@ TEST_F(RtpSessionTest, ReservedAttachmentRespectsAdmission) {
   EXPECT_EQ(session.delivered_frames(), 50);
 }
 
+// A stream that holds a reservation of its own demand plus headroom
+// finishes each frame's server-side work in time for a client playing
+// at the stored frame rate.
+TEST_F(RtpSessionTest, ReservedStreamPlaysBackCleanly) {
+  res::ReservationCpuScheduler reservation(
+      &simulator_, res::ReservationCpuScheduler::Options());
+  media::ReplicaInfo replica = VcdReplica(/*duration_seconds=*/30.0);
+  RtpStreamingSession session(&simulator_, replica, StreamTransform{},
+                              RtpSessionOptions{});
+  ASSERT_TRUE(
+      session.AttachReserved(&reservation, session.CpuDemandFraction() * 1.2)
+          .ok());
+  session.Start();
+  simulator_.RunAll();
+  ASSERT_TRUE(session.finished());
+  PlaybackOptions playback;
+  playback.frame_rate = replica.qos.frame_rate;
+  PlaybackReport report =
+      SimulateClientPlayback(session.frame_completion_times(), playback);
+  EXPECT_EQ(report.underruns, 0);
+  EXPECT_DOUBLE_EQ(report.OnTimeFraction(), 1.0);
+}
+
 TEST_F(RtpSessionTest, SessionReadsItsCostFromCostStream) {
   RtpSessionOptions options;
   options.cpu_cost.ms_per_frame_base = 0.7;
@@ -298,16 +322,6 @@ TEST(TopologyTest, PaperTestbedHasThreeServers) {
   EXPECT_NE(topology.Find(SiteId(0)), nullptr);
   EXPECT_EQ(topology.Find(SiteId(9)), nullptr);
   EXPECT_EQ(topology.SiteIds().size(), 3u);
-}
-
-TEST(TopologyTest, NetworkModelProvidesPerSiteLinks) {
-  sim::Simulator simulator;
-  Topology topology = Topology::Uniform(2);
-  NetworkModel network(&simulator, topology);
-  sim::FluidServer& link0 = network.OutboundLink(SiteId(0));
-  sim::FluidServer& link1 = network.OutboundLink(SiteId(1));
-  EXPECT_NE(&link0, &link1);
-  EXPECT_DOUBLE_EQ(link0.capacity(), 3200.0);
 }
 
 }  // namespace

@@ -220,15 +220,5 @@ TEST(WindowedRateTest, OutOfOrderEventsAreAccepted) {
   EXPECT_DOUBLE_EQ(rows[5].value, 1.0);
 }
 
-TEST(FormatStatsRowTest, ContainsLabelAndNumbers) {
-  RunningStats stats;
-  stats.Add(1.0);
-  stats.Add(3.0);
-  std::string row = FormatStatsRow("test-metric", stats);
-  EXPECT_NE(row.find("test-metric"), std::string::npos);
-  EXPECT_NE(row.find("2.00"), std::string::npos);
-  EXPECT_NE(row.find("n=2"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace quasaq

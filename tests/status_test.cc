@@ -22,9 +22,6 @@ TEST(StatusTest, FactoryFunctionsSetCodeAndMessage) {
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::Aborted("x").code(), StatusCode::kAborted);
-  EXPECT_EQ(Status::Unavailable("x").code(), StatusCode::kUnavailable);
-  EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
-  EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   EXPECT_EQ(Status::NotFound("missing thing").message(), "missing thing");
 }
 
@@ -35,7 +32,7 @@ TEST(StatusTest, ToStringIncludesCodeAndMessage) {
 
 TEST(StatusTest, EqualityComparesCodesOnly) {
   EXPECT_EQ(Status::NotFound("a"), Status::NotFound("b"));
-  EXPECT_FALSE(Status::NotFound("a") == Status::Internal("a"));
+  EXPECT_FALSE(Status::NotFound("a") == Status::Aborted("a"));
 }
 
 TEST(StatusTest, CodeNamesAreStable) {
